@@ -10,7 +10,11 @@
 //!   encryption is serially chained and shows the bitsliced backend at
 //!   its worst (one block occupying a 16-lane kernel). The XTS-encrypt
 //!   over CBC-encrypt ratio is the cliff the per-page XTS mode
-//!   removes from the lock path.
+//!   removes from the lock path. The `cmac` rows MAC the same pages
+//!   under the AES-128 page-MAC key the integrity plane derives: `table`
+//!   runs one serial CBC-MAC chain per page on the scalar backend,
+//!   `bitsliced-batched` runs 16 page chains per bitsliced kernel call
+//!   through `Cmac::mac_extents`.
 //! * **Table 4 accounting** — the on-SoC state arena of the tracked
 //!   variant of each backend, by sensitivity class. The table-driven
 //!   variant must access-protect its 2.5 KiB of lookup tables; the
@@ -27,7 +31,10 @@
 //! the gate only demands parity so feature-poor CI hosts do not flap) —
 //! and (b) bitsliced XTS page-encrypt runs at least 8× bitsliced
 //! CBC-encrypt, the tentpole gate proving the lane-filling mode removed
-//! the encrypt cliff (a native run shows ~11×).
+//! the encrypt cliff (a native run shows ~11×) — and (c) batched
+//! bitsliced CMAC runs at least 2× the scalar per-page CMAC, the gate
+//! for the bulk MAC paths (integrity tags, journal commit tags, dm-crypt
+//! sector tags) riding the lanes.
 
 use std::time::Instant;
 
@@ -36,7 +43,7 @@ use sentry_core::aes_onsoc::{build_engine_with_backend, OnSocCipherBackend};
 use sentry_core::config::OnSocBackend;
 use sentry_core::onsoc::OnSocStore;
 use sentry_crypto::modes::{cbc_decrypt, cbc_encrypt, ctr_xor, xts_decrypt, xts_encrypt};
-use sentry_crypto::{Aes, AesStateLayout, BitslicedAes, KeySize, Sensitivity};
+use sentry_crypto::{Aes, AesStateLayout, BitslicedAes, Cmac, KeySize, Sensitivity};
 use sentry_kernel::crypto_api::{CipherEngine, GenericAesEngine};
 use sentry_soc::Soc;
 
@@ -52,6 +59,7 @@ enum Mode {
     XtsEnc,
     XtsDec,
     Ctr,
+    Cmac,
 }
 
 impl Mode {
@@ -62,20 +70,60 @@ impl Mode {
             Mode::XtsEnc => "xts_enc",
             Mode::XtsDec => "xts_dec",
             Mode::Ctr => "ctr",
+            Mode::Cmac => "cmac",
         }
     }
-    fn all() -> [Mode; 5] {
+    fn all() -> [Mode; 6] {
         [
             Mode::CbcEnc,
             Mode::CbcDec,
             Mode::XtsEnc,
             Mode::XtsDec,
             Mode::Ctr,
+            Mode::Cmac,
         ]
+    }
+    /// The backend label of a host row: the bitsliced CMAC row is the
+    /// lane-batched path, not a bitsliced single chain.
+    fn backend(self, bitsliced: bool) -> &'static str {
+        match (self, bitsliced) {
+            (_, false) => "table",
+            (Mode::Cmac, true) => "bitsliced-batched",
+            (_, true) => "bitsliced",
+        }
     }
 }
 
-fn run_pages(aes: &Aes, bits: &BitslicedAes, bitsliced: bool, mode: Mode, buf: &mut [u8]) {
+/// The contexts the host sweep runs: the AES-256 page-cipher key in
+/// both layouts, and a CMAC under an AES-128 key like the derived
+/// page-MAC keys.
+struct Kernels {
+    aes: Aes,
+    bits: BitslicedAes,
+    cmac: Cmac,
+}
+
+/// The per-page IVs the CMAC rows prefix each page with.
+fn cmac_ivs() -> Vec<[u8; 16]> {
+    (0..PAGES).map(|i| [i as u8; 16]).collect()
+}
+
+fn run_pages(k: &Kernels, bitsliced: bool, mode: Mode, buf: &mut [u8]) {
+    let Kernels { aes, bits, cmac } = k;
+    if mode == Mode::Cmac {
+        let ivs = cmac_ivs();
+        let tags = if bitsliced {
+            cmac.mac_extents(&ivs, buf)
+        } else {
+            ivs.iter()
+                .zip(buf.chunks_exact(PAGE))
+                .map(|(iv, page)| cmac.mac_parts(&[iv, page]))
+                .collect()
+        };
+        // Chain the tags into the buffer so no rep can be elided.
+        buf[..16].copy_from_slice(&tags[PAGES - 1]);
+        return;
+    }
     for (i, page) in buf.chunks_exact_mut(PAGE).enumerate() {
         let iv = [i as u8; 16];
         match (mode, bitsliced) {
@@ -94,6 +142,7 @@ fn run_pages(aes: &Aes, bits: &BitslicedAes, bitsliced: bool, mode: Mode, buf: &
             (Mode::XtsDec, true) => xts_decrypt(bits, bits, &iv, page),
             (Mode::Ctr, false) => ctr_xor(aes, &[i as u8; 8], 0, page),
             (Mode::Ctr, true) => ctr_xor(bits, &[i as u8; 8], 0, page),
+            (Mode::Cmac, _) => unreachable!("MACed above"),
         }
     }
 }
@@ -105,12 +154,12 @@ fn run_pages(aes: &Aes, bits: &BitslicedAes, bitsliced: bool, mode: Mode, buf: &
 /// estimate of the kernel's actual cost (a median still flaps when
 /// more than half the reps land inside a noisy window, which the
 /// enforce ratios cannot tolerate).
-fn host_mib_s(aes: &Aes, bits: &BitslicedAes, bitsliced: bool, mode: Mode) -> f64 {
+fn host_mib_s(k: &Kernels, bitsliced: bool, mode: Mode) -> f64 {
     let mut buf: Vec<u8> = (0..PAGES * PAGE).map(|i| (i * 31) as u8).collect();
     let mut best = u64::MAX;
     for rep in 0..=REPS {
         let t0 = Instant::now();
-        run_pages(aes, bits, bitsliced, mode, &mut buf);
+        run_pages(k, bitsliced, mode, &mut buf);
         let elapsed = t0.elapsed().as_nanos() as u64;
         if rep > 0 {
             // First pass is warm-up (page faults, cache fill).
@@ -156,17 +205,20 @@ fn main() {
     let enforce = std::env::args().any(|a| a == "--enforce");
 
     let aes = Aes::new(&KEY).expect("valid key length");
-    let bits = BitslicedAes::from_schedule(aes.schedule());
+    let kernels = Kernels {
+        bits: BitslicedAes::from_schedule(aes.schedule()),
+        cmac: Cmac::new(Aes::new(&KEY[..16]).expect("valid key length")),
+        aes,
+    };
 
     // Host throughput sweep.
     let mut host: Vec<(&'static str, &'static str, f64)> = Vec::new();
     for mode in Mode::all() {
         for bitsliced in [false, true] {
-            let backend = if bitsliced { "bitsliced" } else { "table" };
             host.push((
-                backend,
+                mode.backend(bitsliced),
                 mode.name(),
-                host_mib_s(&aes, &bits, bitsliced, mode),
+                host_mib_s(&kernels, bitsliced, mode),
             ));
         }
     }
@@ -180,7 +232,7 @@ fn main() {
         .iter()
         .map(|&mode| {
             let t = thr("table", mode);
-            let b = thr("bitsliced", mode);
+            let b = thr(mode.backend(true), mode);
             vec![
                 mode.name().to_string(),
                 format!("{t:.1}"),
@@ -269,11 +321,13 @@ fn main() {
         .collect();
     let dec_ratio = thr("bitsliced", Mode::CbcDec) / thr("table", Mode::CbcDec);
     let xts_enc_ratio = thr("bitsliced", Mode::XtsEnc) / thr("bitsliced", Mode::CbcEnc);
+    let cmac_ratio = thr("bitsliced-batched", Mode::Cmac) / thr("table", Mode::Cmac);
     let json = format!(
         "{{\n  \"experiment\": \"aes_kernels\",\n  \"page_bytes\": {PAGE},\n  \
          \"pages\": {PAGES},\n  \"reps\": {REPS},\n  \
          \"cbc_dec_bitsliced_over_table\": {dec_ratio:.2},\n  \
          \"xts_enc_over_cbc_enc\": {xts_enc_ratio:.2},\n  \
+         \"cmac_batched_over_table\": {cmac_ratio:.2},\n  \
          \"host\": [\n{}\n  ],\n  \"table4\": [\n{}\n  ],\n  \"sim\": [\n{}\n  ]\n}}\n",
         host_json.join(",\n"),
         acct_json.join(",\n"),
@@ -307,5 +361,16 @@ fn main() {
             std::process::exit(1);
         }
         println!("enforce: bitsliced XTS-encrypt at {xts_enc_ratio:.2}x of CBC-encrypt — ok");
+        // The bulk-MAC gate: 16 page chains per bitsliced call must run
+        // at least 2x the scalar one-chain-per-page CMAC (a native run
+        // shows ~5x).
+        if cmac_ratio < 2.0 {
+            eprintln!(
+                "FAIL: batched bitsliced CMAC at only {cmac_ratio:.2}x of the \
+                 scalar per-page CMAC (gate: >= 2x)"
+            );
+            std::process::exit(1);
+        }
+        println!("enforce: batched bitsliced CMAC at {cmac_ratio:.2}x of scalar — ok");
     }
 }

@@ -489,13 +489,14 @@ impl Pager {
         // re-arm the traps, in journaled chunks: every publish + PTE
         // flip is covered by an open journal entry, so a kill anywhere
         // in the sweep is completed by recovery.
+        let commit_tags = commit.tags(&ivs, &buf);
         let mut start = 0usize;
         while start < n {
             let end = (start + MAX_ENTRIES).min(n);
             let entries: Vec<JournalEntry> = (start..end)
                 .map(|i| {
                     let (pid, vpn, home) = targets[i];
-                    let tag = commit.tag(&ivs[i], &buf[i * page..(i + 1) * page]);
+                    let tag = commit_tags[i];
                     JournalEntry {
                         pid,
                         vpn,

@@ -36,6 +36,7 @@ use crate::config::{IntegrityConfig, OnSocBackend};
 use crate::error::SentryError;
 use crate::onsoc::OnSocStore;
 use crate::pressure::{SpillRegion, SPILL_SLOTS};
+use sentry_crypto::mac::trunc8;
 use sentry_crypto::{Aes, Cmac, RetryStats};
 use sentry_soc::addr::{IRAM_BASE, IRAM_FIRMWARE_RESERVED, IRAM_SIZE, PAGE_SIZE};
 use sentry_soc::Soc;
@@ -150,7 +151,7 @@ pub struct IntegrityPlane {
     backend: OnSocBackend,
     /// CMAC under a domain-separated key derived from the volatile root
     /// key (`E_rootkey("SENTRY-INTEGRITY")`); `None` when disabled.
-    cmac: Option<Cmac<Aes>>,
+    cmac: Option<Cmac>,
     /// Tag-store pages in slot order. The vector never shrinks, so a
     /// slot's page index (`slot / TAGS_PER_PAGE`) is stable across
     /// spill, release, and re-residency.
@@ -284,11 +285,29 @@ impl IntegrityPlane {
             .mac_parts_trunc8(&[iv, page])
     }
 
+    /// [`IntegrityPlane::compute_tag`] for every page of a batch at
+    /// once: `buf` holds one page per job, and the independent page
+    /// chains share the bitsliced lanes.
+    fn compute_tags(&self, jobs: &[(u64, [u8; 16])], buf: &[u8]) -> Vec<[u8; TAG_BYTES]> {
+        let ivs: Vec<[u8; 16]> = jobs.iter().map(|&(_, iv)| iv).collect();
+        self.cmac
+            .as_ref()
+            .expect("compute_tags on a disabled plane")
+            .mac_extents(&ivs, &buf[..jobs.len() * PAGE_SIZE as usize])
+            .iter()
+            .map(trunc8)
+            .collect()
+    }
+
     /// Charge the simulated clock for MACing `pages` pages, inside one
     /// IRQ-disabled critical section. The CBC chains of independent
     /// pages fill the 16 bitslice lanes of the batch AES kernels, so a
     /// batch costs `ceil(pages/16)` serial chains of 257 blocks (256
-    /// page blocks + the IV tweak block) each.
+    /// page blocks + the IV tweak block) each. The host runs the same
+    /// schedule: batches go through [`Cmac::mac_extents`], 16 chains
+    /// per bitsliced kernel call, and only a lone page (or a tail group
+    /// below [`sentry_crypto::mac::LANE_CROSSOVER`]) takes the scalar
+    /// T-table chain — so host time and the sim charge move together.
     fn charge_mac(soc: &mut Soc, pages: usize) {
         if pages == 0 {
             return;
@@ -742,9 +761,7 @@ impl IntegrityPlane {
             return Ok(());
         }
         Self::charge_mac(soc, jobs.len());
-        let page = PAGE_SIZE as usize;
-        for ((frame, iv), chunk) in jobs.iter().zip(buf.chunks_exact(page)) {
-            let tag = self.compute_tag(iv, chunk);
+        for ((frame, _), tag) in jobs.iter().zip(self.compute_tags(jobs, buf)) {
             let slot = self.slot_for(soc, store, *frame)?;
             soc.mem_write(self.slot_addr(slot), &tag)?;
             self.stats.tags_stored += 1;
@@ -774,8 +791,10 @@ impl IntegrityPlane {
         }
         Self::charge_mac(soc, jobs.len());
         let page = PAGE_SIZE as usize;
+        let tags = self.compute_tags(jobs, buf);
         let mut outcomes = Vec::with_capacity(jobs.len());
-        for ((frame, iv), chunk) in jobs.iter().zip(buf.chunks_exact_mut(page)) {
+        for (((frame, iv), chunk), mut got) in jobs.iter().zip(buf.chunks_exact_mut(page)).zip(tags)
+        {
             let Some(&slot) = self.slots.get(frame) else {
                 self.stats.untagged_decrypts += 1;
                 outcomes.push(VerifyOutcome::Untagged);
@@ -784,7 +803,6 @@ impl IntegrityPlane {
             self.ensure_resident(soc, store, Self::page_index(slot))?;
             let mut expected = [0u8; TAG_BYTES];
             soc.mem_read(self.slot_addr(slot), &mut expected)?;
-            let mut got = self.compute_tag(iv, chunk);
             if got != expected {
                 for _ in 0..self.config.max_verify_retries {
                     self.stats.verify.attempts += 1;

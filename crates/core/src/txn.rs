@@ -152,7 +152,7 @@ impl JournalEntry {
 #[derive(Debug)]
 pub struct CommitTagger {
     mode: PageCipherMode,
-    cmac: Cmac<Aes>,
+    cmac: Cmac,
 }
 
 impl CommitTagger {
@@ -207,13 +207,19 @@ impl CommitTagger {
     }
 
     /// Per-page commit tags of a contiguous run of page-sized chunks
-    /// (chunk `i` tagged under `ivs[i]`).
+    /// (chunk `i` tagged under `ivs[i]`). Under XTS/CTR the page CMACs
+    /// run as independent chains on the bitsliced lanes.
     #[must_use]
     pub fn tags(&self, ivs: &[[u8; 16]], buf: &[u8]) -> Vec<[u8; 16]> {
-        buf.chunks_exact(PAGE_SIZE as usize)
-            .zip(ivs)
-            .map(|(page, iv)| self.tag(iv, page))
-            .collect()
+        if self.mode.is_chaining() {
+            buf.chunks_exact(PAGE_SIZE as usize)
+                .zip(ivs)
+                .map(|(page, iv)| self.tag(iv, page))
+                .collect()
+        } else {
+            self.cmac
+                .mac_extents(ivs, &buf[..ivs.len() * PAGE_SIZE as usize])
+        }
     }
 }
 

@@ -23,6 +23,7 @@ use crate::block::{BlockDevice, SECTOR_SIZE};
 use crate::crypto_api::CryptoApi;
 use crate::error::KernelError;
 use crate::layout::{ACCEL_DMA_BASE, ACCEL_DMA_CONTROLLER, ACCEL_DMA_SIZE};
+use sentry_crypto::mac::trunc8;
 use sentry_crypto::modes::ctr_crypt_extents;
 use sentry_crypto::pipeline::{ctr_keystream, xor_keystream};
 use sentry_crypto::{
@@ -142,7 +143,9 @@ pub struct DmCrypt {
     cipher: Option<String>,
     /// Sector MAC, derived from the volume key at `set_key`
     /// (`E_volumekey("SENTRY-DMCRYPT-1")`); `None` until a key is set.
-    mac: RefCell<Option<Cmac<Aes>>>,
+    /// Built once per key, scalar and bitsliced schedules together, so
+    /// requests never re-run key setup.
+    mac: RefCell<Option<Cmac>>,
     /// Recorded tag per absolute sector number.
     tags: RefCell<HashMap<u64, [u8; 8]>>,
     /// Asynchronous read pipeline; `None` (the default) keeps the
@@ -341,26 +344,37 @@ impl DmCrypt {
         // Authenticate the raw ciphertext before any of it is decrypted:
         // a spliced or bit-flipped sector must fail closed, not hand the
         // filesystem plausible-looking garbage.
+        let ivs: Vec<[u8; 16]> = (0..buf.len() / SECTOR_SIZE)
+            .map(|i| Self::sector_iv(sector + i as u64))
+            .collect();
         if let Some(mac) = self.mac.borrow().as_ref() {
             let tags = self.tags.borrow();
-            for (i, ct) in buf.chunks_exact(SECTOR_SIZE).enumerate() {
-                let s = sector + i as u64;
-                let Some(expected) = tags.get(&s) else {
-                    continue; // never written through this mapping
-                };
-                let got = mac.mac_parts_trunc8(&[&Self::sector_iv(s), ct]);
-                if got != *expected {
+            // Sectors never written through this mapping have no tag
+            // and pass unverified.
+            let expected: Vec<(usize, [u8; 8])> = (0..ivs.len())
+                .filter_map(|i| tags.get(&(sector + i as u64)).map(|t| (i, *t)))
+                .collect();
+            let got = if expected.len() == ivs.len() {
+                mac.mac_extents(&ivs, buf)
+            } else {
+                expected
+                    .iter()
+                    .map(|&(i, _)| {
+                        mac.mac_parts(&[&ivs[i], &buf[i * SECTOR_SIZE..][..SECTOR_SIZE]])
+                    })
+                    .collect()
+            };
+            for (&(i, expected), got) in expected.iter().zip(&got) {
+                let got = trunc8(got);
+                if got != expected {
                     return Err(KernelError::SectorTamper {
-                        sector: s,
-                        tag_expected: *expected,
+                        sector: sector + i as u64,
+                        tag_expected: expected,
                         tag_got: got,
                     });
                 }
             }
         }
-        let ivs: Vec<[u8; 16]> = (0..buf.len() / SECTOR_SIZE)
-            .map(|i| Self::sector_iv(sector + i as u64))
-            .collect();
         let mode = self.engine(api)?.mode();
         {
             let mut pl = self.pipeline.borrow_mut();
@@ -659,8 +673,8 @@ impl DmCrypt {
         // there is no window in which tampered bytes could be accepted.
         if let Some(mac) = self.mac.borrow().as_ref() {
             let mut tags = self.tags.borrow_mut();
-            for (i, (chunk, iv)) in ct.chunks_exact(SECTOR_SIZE).zip(&ivs).enumerate() {
-                tags.insert(sector + i as u64, mac.mac_parts_trunc8(&[iv, chunk]));
+            for (i, full) in mac.mac_extents(&ivs, &ct).iter().enumerate() {
+                tags.insert(sector + i as u64, trunc8(full));
             }
         }
         dev.write_sectors(sector, &ct, &mut soc.clock)
@@ -838,6 +852,32 @@ mod tests {
         let mut back = vec![0u8; SECTOR_SIZE];
         dm.read(&mut api, &mut soc, &mut disk, 99, &mut back)
             .unwrap();
+    }
+
+    #[test]
+    fn partly_written_range_verifies_only_its_tagged_sectors() {
+        // Sectors 10..14 are written, 8, 9, 14 and 15 never were: the
+        // read spans both, so only the tagged sectors are MACed.
+        let (mut api, mut soc, mut disk, dm) = setup();
+        let data = vec![0x3Cu8; SECTOR_SIZE * 4];
+        dm.write(&mut api, &mut soc, &mut disk, 10, &data).unwrap();
+        let mut back = vec![0u8; SECTOR_SIZE * 8];
+        dm.read(&mut api, &mut soc, &mut disk, 8, &mut back)
+            .unwrap();
+        assert_eq!(back[2 * SECTOR_SIZE..6 * SECTOR_SIZE], data[..]);
+
+        let mut raw = vec![0u8; SECTOR_SIZE];
+        let mut clock = sentry_soc::SimClock::new();
+        disk.read_sectors(12, &mut raw, &mut clock).unwrap();
+        raw[7] ^= 0x01;
+        disk.write_sectors(12, &raw, &mut clock).unwrap();
+        let err = dm
+            .read(&mut api, &mut soc, &mut disk, 8, &mut back)
+            .unwrap_err();
+        assert!(
+            matches!(err, KernelError::SectorTamper { sector: 12, .. }),
+            "{err}"
+        );
     }
 
     #[test]

@@ -8,13 +8,17 @@
 use proptest::prelude::*;
 use sentry::attacks::faultmatrix::{public_page, secret_page, Scenario};
 use sentry::attacks::tamper::{flip_bit, raw_read_page, raw_write_page};
-use sentry::core::{Sentry, SentryError};
+use sentry::core::onsoc::OnSocStore;
+use sentry::core::{
+    IntegrityConfig, IntegrityPlane, OnSocBackend, Sentry, SentryError, VerifyOutcome,
+};
 use sentry::kernel::block::{BlockDevice, RamDisk, SECTOR_SIZE};
 use sentry::kernel::crypto_api::{CryptoApi, GenericAesEngine};
 use sentry::kernel::dmcrypt::DmCrypt;
 use sentry::kernel::pagetable::Backing;
 use sentry::kernel::{KernelError, Pid};
-use sentry::soc::{SimClock, Soc, PAGE_SIZE};
+use sentry::soc::addr::DRAM_BASE;
+use sentry::soc::{Platform, SimClock, Soc, SocConfig, PAGE_SIZE};
 
 /// The DRAM frame currently backing `(pid, vpn)`.
 fn frame_of(s: &Sentry, pid: Pid, vpn: u64) -> u64 {
@@ -236,4 +240,73 @@ fn boot_time_audit_quarantines_tampered_at_rest_frames() {
         s.read(actors.vault, probe * PAGE_SIZE, &mut page).unwrap();
         assert_eq!(page, expected_page(&scn, probe), "survivor {probe}");
     }
+}
+
+/// A 17-page batch runs one full 16-chain lane group on the bitsliced
+/// kernel and a lone tail chain on the scalar path. A bit flipped in
+/// DRAM under a lane-group page and under the tail page must each
+/// report `Mismatch` (and only those two), while a one-shot glitch in
+/// the gathered copy of a third page heals through the re-read path.
+#[test]
+fn batched_verify_isolates_tampered_pages_across_lane_groups() {
+    const PAGES: u64 = 17;
+    const LANE_PAGE: usize = 5;
+    const TAIL_PAGE: usize = 16;
+    const GLITCH_PAGE: usize = 9;
+    let page = PAGE_SIZE as usize;
+    let mut soc = Soc::new(SocConfig::new(Platform::Tegra3).with_dram_size(8 << 20));
+    let mut store = OnSocStore::new(OnSocBackend::Iram, &mut soc).unwrap();
+    let mut plane = IntegrityPlane::new(
+        IntegrityConfig::default(),
+        OnSocBackend::Iram,
+        &[0x3Cu8; 16],
+    )
+    .unwrap();
+
+    let jobs: Vec<(u64, [u8; 16])> = (0..PAGES)
+        .map(|i| (DRAM_BASE + (i + 1) * PAGE_SIZE, [i as u8 ^ 0xA5; 16]))
+        .collect();
+    let ciphertext: Vec<u8> = (0..PAGES as usize * page)
+        .map(|i| (i * 131 + i / page) as u8)
+        .collect();
+    for (&(frame, _), chunk) in jobs.iter().zip(ciphertext.chunks_exact(page)) {
+        soc.mem_write(frame, chunk).unwrap();
+    }
+    plane
+        .store_tags(&mut soc, &mut store, &jobs, &ciphertext)
+        .unwrap();
+
+    // Persistent tampering: the DRAM frames themselves change.
+    soc.cache_maintenance_flush();
+    flip_bit(&mut soc, jobs[LANE_PAGE].0, 1234, 3);
+    flip_bit(&mut soc, jobs[TAIL_PAGE].0, 4095, 7);
+    let mut buf = vec![0u8; PAGES as usize * page];
+    for (&(frame, _), chunk) in jobs.iter().zip(buf.chunks_exact_mut(page)) {
+        soc.mem_read(frame, chunk).unwrap();
+    }
+    // Transient glitch: only the gathered copy is wrong.
+    buf[GLITCH_PAGE * page + 77] ^= 0x10;
+
+    let before = plane.stats.verify;
+    let outcomes = plane
+        .verify_frames(&mut soc, &mut store, &jobs, &mut buf)
+        .unwrap();
+    for (i, outcome) in outcomes.iter().enumerate() {
+        if i == LANE_PAGE || i == TAIL_PAGE {
+            assert!(
+                matches!(outcome, VerifyOutcome::Mismatch { .. }),
+                "page {i}: {outcome:?}"
+            );
+        } else {
+            assert_eq!(*outcome, VerifyOutcome::Ok, "page {i}");
+        }
+    }
+    assert_eq!(plane.stats.verify.recovered, before.recovered + 1);
+    assert_eq!(plane.stats.verify.exhausted, before.exhausted + 2);
+    assert_eq!(plane.stats.verified_pages, PAGES - 2);
+    assert_eq!(
+        &buf[GLITCH_PAGE * page..(GLITCH_PAGE + 1) * page],
+        &ciphertext[GLITCH_PAGE * page..(GLITCH_PAGE + 1) * page],
+        "the re-read healed the gathered copy"
+    );
 }
