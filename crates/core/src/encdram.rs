@@ -281,7 +281,7 @@ impl Pager {
         // The integrity tag goes on-SoC before the ciphertext is
         // visible in DRAM (no unrecorded-tamper window); idempotent on
         // a recovery replay.
-        integrity.store_tags(&mut kernel.soc, store, &[(home, iv)], &self.scratch)?;
+        let tags = integrity.store_tags(&mut kernel.soc, store, &[(home, iv)], &self.scratch)?;
         kernel.soc.failpoint("pager.evict")?;
         kernel.soc.clock.advance(kernel.soc.costs.page_copy_ns);
         kernel.soc.mem_write(home, &self.scratch)?;
@@ -292,13 +292,20 @@ impl Pager {
         // verify_one's bounded re-reads heal a transient glitch, a
         // persistent mismatch quarantines the frame and leaves the
         // journal open for `recover()` to roll the eviction forward
-        // from the still-intact on-SoC plaintext.
+        // from the still-intact on-SoC plaintext. An intact read-back
+        // reuses the tag just computed instead of MACing the page again.
         if integrity.enabled() {
             let mut readback = vec![0u8; PAGE_SIZE as usize];
             kernel.soc.mem_read(home, &mut readback)?;
-            if let VerifyOutcome::Mismatch { expected, got } =
-                integrity.verify_one(&mut kernel.soc, store, home, &iv, &mut readback)?
-            {
+            if let VerifyOutcome::Mismatch { expected, got } = integrity.verify_readback(
+                &mut kernel.soc,
+                store,
+                home,
+                &iv,
+                &mut readback,
+                &self.scratch,
+                tags[0],
+            )? {
                 self.stats.quarantine_rejects += 1;
                 return Err(integrity.quarantine(QuarantinedPage {
                     pid,

@@ -747,6 +747,9 @@ impl IntegrityPlane {
     /// already on-SoC, so there is no window in which tampering could
     /// go unrecorded.
     ///
+    /// Returns the stored tags in job order (empty on a disabled
+    /// plane), for [`IntegrityPlane::verify_readback`].
+    ///
     /// # Errors
     ///
     /// [`SentryError::OnSocExhausted`] when the tag store cannot grow.
@@ -756,17 +759,18 @@ impl IntegrityPlane {
         store: &mut OnSocStore,
         jobs: &[(u64, [u8; 16])],
         buf: &[u8],
-    ) -> Result<(), SentryError> {
+    ) -> Result<Vec<[u8; TAG_BYTES]>, SentryError> {
         if !self.enabled() || jobs.is_empty() {
-            return Ok(());
+            return Ok(Vec::new());
         }
         Self::charge_mac(soc, jobs.len());
-        for ((frame, _), tag) in jobs.iter().zip(self.compute_tags(jobs, buf)) {
+        let tags = self.compute_tags(jobs, buf);
+        for ((frame, _), tag) in jobs.iter().zip(&tags) {
             let slot = self.slot_for(soc, store, *frame)?;
-            soc.mem_write(self.slot_addr(slot), &tag)?;
+            soc.mem_write(self.slot_addr(slot), tag)?;
             self.stats.tags_stored += 1;
         }
-        Ok(())
+        Ok(tags)
     }
 
     /// Verify a batch of gathered ciphertext pages against the tag
@@ -790,8 +794,23 @@ impl IntegrityPlane {
             return Ok(vec![VerifyOutcome::Ok; jobs.len()]);
         }
         Self::charge_mac(soc, jobs.len());
-        let page = PAGE_SIZE as usize;
         let tags = self.compute_tags(jobs, buf);
+        self.check_tags(soc, store, jobs, buf, tags)
+    }
+
+    /// Compare each page's MAC in `tags` against its stored tag, with
+    /// the bounded re-read on a mismatch (the tail of
+    /// [`IntegrityPlane::verify_frames`]; the caller has charged the
+    /// MACs).
+    fn check_tags(
+        &mut self,
+        soc: &mut Soc,
+        store: &mut OnSocStore,
+        jobs: &[(u64, [u8; 16])],
+        buf: &mut [u8],
+        tags: Vec<[u8; TAG_BYTES]>,
+    ) -> Result<Vec<VerifyOutcome>, SentryError> {
+        let page = PAGE_SIZE as usize;
         let mut outcomes = Vec::with_capacity(jobs.len());
         for (((frame, iv), chunk), mut got) in jobs.iter().zip(buf.chunks_exact_mut(page)).zip(tags)
         {
@@ -846,6 +865,36 @@ impl IntegrityPlane {
         }
         let jobs = [(frame, *iv)];
         Ok(self.verify_frames(soc, store, &jobs, chunk)?[0])
+    }
+
+    /// [`IntegrityPlane::verify_one`] for a page read back right after
+    /// it was published: `published` are the bytes written and
+    /// `published_tag` their tag as [`IntegrityPlane::store_tags`]
+    /// returned it. When `readback` equals `published` that tag stands
+    /// in for recomputing the MAC; the stored tag is still read and
+    /// compared, a mismatch still re-reads, and the clock is charged the
+    /// same MAC. Any byte difference takes `verify_one`'s path.
+    ///
+    /// # Errors
+    ///
+    /// Propagates SoC read errors.
+    #[allow(clippy::too_many_arguments)] // verify_one plus the published page and tag
+    pub fn verify_readback(
+        &mut self,
+        soc: &mut Soc,
+        store: &mut OnSocStore,
+        frame: u64,
+        iv: &[u8; 16],
+        readback: &mut [u8],
+        published: &[u8],
+        published_tag: [u8; TAG_BYTES],
+    ) -> Result<VerifyOutcome, SentryError> {
+        if !self.enabled() || readback != published {
+            return self.verify_one(soc, store, frame, iv, readback);
+        }
+        Self::charge_mac(soc, 1);
+        let jobs = [(frame, *iv)];
+        Ok(self.check_tags(soc, store, &jobs, readback, vec![published_tag])?[0])
     }
 
     /// Quarantine a poisoned page and return the typed violation error
@@ -1028,6 +1077,87 @@ mod tests {
         assert!(plane.stats.verify.attempts >= 1);
         assert_eq!(plane.stats.verify.exhausted, 1, "tamper never heals");
         assert!(plane.violation_for(frame).is_some());
+    }
+
+    /// Publish a page, optionally tamper with it in DRAM, and verify the
+    /// read-back through `verify_readback` (reusing the stored tag) or
+    /// `verify_one` (recomputing it). Returns what each path observes.
+    fn verify_published(reuse_tag: bool, tamper: bool) -> (VerifyOutcome, IntegrityStats, u64) {
+        let (mut plane, mut store, mut soc) = plane_and_store(OnSocBackend::Iram);
+        let frame = dram_frame(&soc, 4);
+        let iv = [5u8; 16];
+        let published = vec![0x33u8; PAGE_SIZE as usize];
+        let tags = plane
+            .store_tags(&mut soc, &mut store, &[(frame, iv)], &published)
+            .unwrap();
+        let mut readback = published.clone();
+        if tamper {
+            readback[7] ^= 0x80;
+        }
+        soc.mem_write(frame, &readback).unwrap();
+        let outcome = if reuse_tag {
+            plane.verify_readback(
+                &mut soc,
+                &mut store,
+                frame,
+                &iv,
+                &mut readback,
+                &published,
+                tags[0],
+            )
+        } else {
+            plane.verify_one(&mut soc, &mut store, frame, &iv, &mut readback)
+        }
+        .unwrap();
+        (outcome, plane.stats, soc.clock.now_ns())
+    }
+
+    #[test]
+    fn readback_tag_reuse_matches_the_recompute_path() {
+        let intact = verify_published(true, false);
+        assert_eq!(intact.0, VerifyOutcome::Ok);
+        assert_eq!(intact, verify_published(false, false));
+
+        let tampered = verify_published(true, true);
+        assert!(matches!(tampered.0, VerifyOutcome::Mismatch { .. }));
+        assert_eq!(tampered.1.verify.exhausted, 1, "tamper never heals");
+        assert_eq!(tampered, verify_published(false, true));
+    }
+
+    #[test]
+    fn flipped_stored_tag_is_caught_on_an_intact_readback() {
+        let (mut plane, mut store, mut soc) = plane_and_store(OnSocBackend::Iram);
+        let frame = dram_frame(&soc, 6);
+        let iv = [8u8; 16];
+        let page = vec![0x9Cu8; PAGE_SIZE as usize];
+        let tags = plane
+            .store_tags(&mut soc, &mut store, &[(frame, iv)], &page)
+            .unwrap();
+        soc.mem_write(frame, &page).unwrap();
+        // Flip one bit inside the tag store itself.
+        let slot = plane.tag_slot_addr(frame).unwrap();
+        let mut byte = [0u8; 1];
+        soc.mem_read(slot, &mut byte).unwrap();
+        soc.mem_write(slot, &[byte[0] ^ 0x01]).unwrap();
+
+        let mut readback = page.clone();
+        let outcome = plane
+            .verify_readback(
+                &mut soc,
+                &mut store,
+                frame,
+                &iv,
+                &mut readback,
+                &page,
+                tags[0],
+            )
+            .unwrap();
+        let VerifyOutcome::Mismatch { expected, got } = outcome else {
+            panic!("flipped stored tag not detected: {outcome:?}");
+        };
+        assert_eq!(got, tags[0]);
+        assert_ne!(expected, tags[0]);
+        assert_eq!(plane.stats.verify.exhausted, 1);
     }
 
     #[test]

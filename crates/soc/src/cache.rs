@@ -53,24 +53,12 @@ pub struct MemPath<'a> {
     pub costs: &'a CostModel,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Line {
-    valid: bool,
-    dirty: bool,
-    tag: u64,
-    data: [u8; LINE_SIZE],
-}
-
-impl Default for Line {
-    fn default() -> Self {
-        Line {
-            valid: false,
-            dirty: false,
-            tag: 0,
-            data: [0u8; LINE_SIZE],
-        }
-    }
-}
+/// Tag-word bit: the line holds valid data.
+const VALID: u64 = 1;
+/// Tag-word bit: the line differs from DRAM and must be written back.
+const DIRTY: u64 = 1 << 1;
+/// The tag sits above the two state bits.
+const TAG_SHIFT: u32 = 2;
 
 /// Running hit/miss/traffic statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -86,8 +74,14 @@ pub struct CacheStats {
 }
 
 /// The PL310 L2 cache controller and its data arrays.
+///
+/// Line state is stored as two parallel arrays indexed by
+/// `set * NUM_WAYS + way`: a tag word per line (`tag << 2 | DIRTY |
+/// VALID`), so one set's eight tags share a 64-byte host cache line and
+/// a lookup is one masked compare per way, and the line data itself.
 pub struct Pl310 {
-    lines: Vec<Line>,
+    tags: Vec<u64>,
+    data: Vec<[u8; LINE_SIZE]>,
     alloc_mask: u8,
     flush_mask: u8,
     victims: Vec<u8>,
@@ -118,7 +112,8 @@ impl Pl310 {
     #[must_use]
     pub fn new() -> Self {
         Pl310 {
-            lines: vec![Line::default(); NUM_SETS * NUM_WAYS],
+            tags: vec![0; NUM_SETS * NUM_WAYS],
+            data: vec![[0; LINE_SIZE]; NUM_SETS * NUM_WAYS],
             alloc_mask: ALL_WAYS,
             flush_mask: ALL_WAYS,
             victims: vec![0u8; NUM_SETS],
@@ -186,14 +181,19 @@ impl Pl310 {
         set * NUM_WAYS + way
     }
 
+    /// The way of `set` holding `tag`, if resident.
+    fn find_way(&self, set: usize, tag: u64) -> Option<usize> {
+        let want = (tag << TAG_SHIFT) | VALID;
+        self.tags[Self::idx(set, 0)..Self::idx(set + 1, 0)]
+            .iter()
+            .position(|&word| word & !DIRTY == want)
+    }
+
     /// Which way (if any) currently holds the line containing `addr`.
     #[must_use]
     pub fn lookup_way(&self, addr: u64) -> Option<usize> {
         let (set, tag) = Self::set_and_tag(addr);
-        (0..NUM_WAYS).find(|&w| {
-            let line = &self.lines[Self::idx(set, w)];
-            line.valid && line.tag == tag
-        })
+        self.find_way(set, tag)
     }
 
     /// Number of valid lines currently resident in `way`.
@@ -205,7 +205,7 @@ impl Pl310 {
     pub fn valid_lines_in_way(&self, way: usize) -> usize {
         assert!(way < NUM_WAYS);
         (0..NUM_SETS)
-            .filter(|&s| self.lines[Self::idx(s, way)].valid)
+            .filter(|&s| self.tags[Self::idx(s, way)] & VALID != 0)
             .count()
     }
 
@@ -221,86 +221,69 @@ impl Pl310 {
     }
 
     fn access(&mut self, addr: u64, mut buf: AccessBuf<'_, '_>, path: &mut MemPath<'_>) {
+        let len = buf.len();
         if !self.enabled {
-            self.uncached_access(addr, &mut buf, path);
+            self.stats.uncached += 1;
+            self.uncached_span(addr, 0, len, &mut buf, path);
             return;
         }
-        let len = buf.len();
         let mut done = 0usize;
         while done < len {
             let cur = addr + done as u64;
             let line_off = (cur % LINE_SIZE as u64) as usize;
             let n = (LINE_SIZE - line_off).min(len - done);
-            self.access_line(cur, line_off, done, n, &mut buf, path);
+            match self.resident_line(cur, path) {
+                Some(idx) => {
+                    let line = &mut self.data[idx][line_off..line_off + n];
+                    match &mut buf {
+                        AccessBuf::Read(out) => out[done..done + n].copy_from_slice(line),
+                        AccessBuf::Write(input) => {
+                            line.copy_from_slice(&input[done..done + n]);
+                            self.tags[idx] |= DIRTY;
+                        }
+                    }
+                }
+                None => {
+                    // No way is allocatable: perform the access
+                    // uncached, directly against DRAM.
+                    self.stats.uncached += 1;
+                    self.uncached_span(cur, done, n, &mut buf, path);
+                }
+            }
             done += n;
         }
     }
 
-    fn access_line(
-        &mut self,
-        addr: u64,
-        line_off: usize,
-        buf_off: usize,
-        n: usize,
-        buf: &mut AccessBuf<'_, '_>,
-        path: &mut MemPath<'_>,
-    ) {
+    /// Index of the line holding `addr`, counting a hit or filling it on
+    /// a miss. `None` when the line misses and no way is allocatable.
+    fn resident_line(&mut self, addr: u64, path: &mut MemPath<'_>) -> Option<usize> {
         let (set, tag) = Self::set_and_tag(addr);
-        let way = match self.lookup_way(addr) {
-            Some(w) => {
-                self.stats.hits += 1;
-                path.clock.advance(path.costs.cache_hit_ns);
-                w
-            }
-            None => {
-                self.stats.misses += 1;
-                match self.allocate(set, tag, path) {
-                    Some(w) => w,
-                    None => {
-                        // No way is allocatable: perform the access
-                        // uncached, directly against DRAM.
-                        self.stats.uncached += 1;
-                        let base = addr - line_off as u64;
-                        let _ = base;
-                        self.uncached_span(addr, buf_off, n, buf, path);
-                        return;
-                    }
-                }
-            }
-        };
-        let line = &mut self.lines[Self::idx(set, way)];
-        match buf {
-            AccessBuf::Read(out) => {
-                out[buf_off..buf_off + n].copy_from_slice(&line.data[line_off..line_off + n]);
-            }
-            AccessBuf::Write(input) => {
-                line.data[line_off..line_off + n].copy_from_slice(&input[buf_off..buf_off + n]);
-                line.dirty = true;
-            }
+        if let Some(way) = self.find_way(set, tag) {
+            self.stats.hits += 1;
+            path.clock.advance(path.costs.cache_hit_ns);
+            return Some(Self::idx(set, way));
         }
+        self.stats.misses += 1;
+        self.allocate(set, tag, path)
     }
 
     /// Pick a victim way in `set` (enabled ways only), evict it, and fill
-    /// the line from DRAM. Returns `None` if no way is enabled.
+    /// the line from DRAM. Returns the line's index, or `None` if no way
+    /// is enabled.
     fn allocate(&mut self, set: usize, tag: u64, path: &mut MemPath<'_>) -> Option<usize> {
         if self.alloc_mask == 0 {
             return None;
         }
         // Prefer an invalid enabled way.
-        let enabled = (0..NUM_WAYS).filter(|&w| self.alloc_mask & (1 << w) != 0);
-        let mut victim = None;
-        for w in enabled {
-            if !self.lines[Self::idx(set, w)].valid {
-                victim = Some(w);
-                break;
-            }
-        }
-        let way = victim.unwrap_or_else(|| {
+        let enabled = |w: usize| self.alloc_mask & (1 << w) != 0;
+        let invalid =
+            (0..NUM_WAYS).find(|&w| enabled(w) && self.tags[Self::idx(set, w)] & VALID == 0);
+        let way = invalid.unwrap_or_else(|| {
             // Round-robin over enabled ways.
             let mut v = self.victims[set] as usize;
             loop {
                 v = (v + 1) % NUM_WAYS;
-                if self.alloc_mask & (1 << v) != 0 {
+                if enabled(v) {
                     break;
                 }
             }
@@ -308,13 +291,16 @@ impl Pl310 {
             v
         });
 
-        self.evict_line(set, way, path);
+        let idx = Self::idx(set, way);
+        self.evict_line(idx, path);
 
         // Fill from DRAM over the bus.
         let base = Self::line_base(set, tag);
-        let mut data = [0u8; LINE_SIZE];
+        let line = &mut self.data[idx];
         if path.dram.contains(base, LINE_SIZE) {
-            path.dram.read(base, &mut data);
+            path.dram.read_line(base, line);
+        } else {
+            *line = [0; LINE_SIZE];
         }
         path.clock.advance(path.costs.dram_line_ns);
         path.bus.transact(
@@ -322,23 +308,21 @@ impl Pl310 {
             BusOp::Read,
             BusMaster::Cache,
             base,
-            &data,
+            line,
         );
-
-        let line = &mut self.lines[Self::idx(set, way)];
-        line.valid = true;
-        line.dirty = false;
-        line.tag = tag;
-        line.data = data;
-        Some(way)
+        self.tags[idx] = (tag << TAG_SHIFT) | VALID;
+        Some(idx)
     }
 
-    fn evict_line(&mut self, set: usize, way: usize, path: &mut MemPath<'_>) {
-        let line = &mut self.lines[Self::idx(set, way)];
-        if line.valid && line.dirty {
-            let base = Self::line_base(set, line.tag);
+    /// Write line `idx` back if it is dirty, then invalidate it.
+    fn evict_line(&mut self, idx: usize, path: &mut MemPath<'_>) {
+        let word = self.tags[idx];
+        if word & (VALID | DIRTY) == VALID | DIRTY {
+            let set = idx / NUM_WAYS;
+            let base = Self::line_base(set, word >> TAG_SHIFT);
+            let line = &self.data[idx];
             if path.dram.contains(base, LINE_SIZE) {
-                path.dram.write(base, &line.data);
+                path.dram.write_line(base, line);
             }
             path.clock.advance(path.costs.dram_line_ns);
             path.bus.transact(
@@ -346,19 +330,11 @@ impl Pl310 {
                 BusOp::Write,
                 BusMaster::Cache,
                 base,
-                &line.data,
+                line,
             );
             self.stats.writebacks += 1;
         }
-        let line = &mut self.lines[Self::idx(set, way)];
-        line.valid = false;
-        line.dirty = false;
-    }
-
-    fn uncached_access(&mut self, addr: u64, buf: &mut AccessBuf<'_, '_>, path: &mut MemPath<'_>) {
-        let len = buf.len();
-        self.stats.uncached += 1;
-        self.uncached_span(addr, 0, len, buf, path);
+        self.tags[idx] = 0;
     }
 
     fn uncached_span(
@@ -370,29 +346,20 @@ impl Pl310 {
         path: &mut MemPath<'_>,
     ) {
         path.clock.advance(path.costs.dram_line_ns);
-        match buf {
+        let (op, shown): (BusOp, &[u8]) = match buf {
             AccessBuf::Read(out) => {
-                path.dram.read(addr, &mut out[buf_off..buf_off + n]);
-                let shown = out[buf_off..buf_off + n].to_vec();
-                path.bus.transact(
-                    path.clock.now_ns(),
-                    BusOp::Read,
-                    BusMaster::CpuUncached,
-                    addr,
-                    &shown,
-                );
+                let out = &mut out[buf_off..buf_off + n];
+                path.dram.read(addr, out);
+                (BusOp::Read, out)
             }
             AccessBuf::Write(input) => {
-                path.dram.write(addr, &input[buf_off..buf_off + n]);
-                path.bus.transact(
-                    path.clock.now_ns(),
-                    BusOp::Write,
-                    BusMaster::CpuUncached,
-                    addr,
-                    &input[buf_off..buf_off + n],
-                );
+                let input = &input[buf_off..buf_off + n];
+                path.dram.write(addr, input);
+                (BusOp::Write, input)
             }
-        }
+        };
+        path.bus
+            .transact(path.clock.now_ns(), op, BusMaster::CpuUncached, addr, shown);
     }
 
     /// Maintenance clean-and-invalidate of the ways selected by the flush
@@ -419,7 +386,7 @@ impl Pl310 {
             }
             path.clock.advance(path.costs.cache_flush_way_ns);
             for set in 0..NUM_SETS {
-                self.evict_line(set, way, path);
+                self.evict_line(Self::idx(set, way), path);
             }
         }
     }
@@ -429,12 +396,10 @@ impl Pl310 {
     /// back: the stale line is discarded so the next access refills from
     /// the (tampered) DRAM contents. Returns whether a line was dropped.
     pub fn invalidate_line(&mut self, addr: u64) -> bool {
-        let (set, _) = Self::set_and_tag(addr);
-        match self.lookup_way(addr) {
+        let (set, tag) = Self::set_and_tag(addr);
+        match self.find_way(set, tag) {
             Some(way) => {
-                let line = &mut self.lines[Self::idx(set, way)];
-                line.valid = false;
-                line.dirty = false;
+                self.tags[Self::idx(set, way)] = 0;
                 true
             }
             None => false,
@@ -446,9 +411,9 @@ impl Pl310 {
     /// them), and reset masks. Matches the firmware behaviour that makes
     /// locked-cache contents unrecoverable by cold boot (§4.3).
     pub fn power_on_reset(&mut self) {
-        for line in &mut self.lines {
-            *line = Line::default();
-        }
+        // Clearing the tags is enough: data of an invalid line is never
+        // read — a fill overwrites it whole before any hit can see it.
+        self.tags.fill(0);
         self.alloc_mask = ALL_WAYS;
         self.flush_mask = ALL_WAYS;
         self.victims.fill(0);
@@ -462,9 +427,10 @@ impl Pl310 {
         assert!(way < NUM_WAYS);
         (0..NUM_SETS)
             .filter_map(|set| {
-                let line = &self.lines[Self::idx(set, way)];
-                line.valid
-                    .then(|| (Self::line_base(set, line.tag), line.data))
+                let idx = Self::idx(set, way);
+                let word = self.tags[idx];
+                (word & VALID != 0)
+                    .then(|| (Self::line_base(set, word >> TAG_SHIFT), self.data[idx]))
             })
             .collect()
     }

@@ -5,8 +5,12 @@
 //! traffic crosses an exposed bus (bus monitoring), and DMA controllers
 //! read it without CPU cooperation (DMA attacks).
 //!
-//! Storage is a sparse map of 4 KiB frames so experiments can model a
-//! 1–2 GB device cheaply while only touching a few megabytes.
+//! Storage is a flat table with one slot per 4 KiB frame, indexed by
+//! frame number. A slot holds a pointer to its frame's bytes, or nothing
+//! until the frame is first written, so a 1 GiB device costs a 2 MiB
+//! table plus the frames actually touched. The table is allocated zeroed
+//! (an empty slot is a null pointer), so the untouched part of it is
+//! never committed by the host either.
 //!
 //! # Remanence model
 //!
@@ -19,8 +23,11 @@
 //! what makes recovered AES keys unusable when survival is low.
 
 use crate::addr::{DRAM_BASE, PAGE_SIZE};
+use crate::cache::LINE_SIZE;
 use crate::rng::DetRng;
-use std::collections::BTreeMap;
+
+/// Bytes per frame.
+const FRAME: usize = PAGE_SIZE as usize;
 
 /// A power event a device (and its DRAM) can be subjected to.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -90,15 +97,28 @@ impl RemanenceModel {
     }
 }
 
-/// Sparse, frame-granular DRAM.
-#[derive(Debug, Clone)]
+/// Frame-granular DRAM that allocates a frame on its first write.
+#[derive(Clone)]
 pub struct Dram {
     size: u64,
-    frames: BTreeMap<u64, Box<[u8]>>,
+    /// One slot per frame, indexed by frame number; `None` reads as zero.
+    frames: Vec<Option<Box<[u8; FRAME]>>>,
     remanence: RemanenceModel,
     rng: DetRng,
     reads: u64,
     writes: u64,
+}
+
+impl std::fmt::Debug for Dram {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Dram")
+            .field("size", &self.size)
+            .field("populated_frames", &self.frames.iter().flatten().count())
+            .field("remanence", &self.remanence)
+            .field("reads", &self.reads)
+            .field("writes", &self.writes)
+            .finish_non_exhaustive()
+    }
 }
 
 impl Dram {
@@ -116,7 +136,7 @@ impl Dram {
         );
         Dram {
             size,
-            frames: BTreeMap::new(),
+            frames: vec![None; (size / PAGE_SIZE) as usize],
             remanence,
             rng: DetRng::new(seed),
             reads: 0,
@@ -136,8 +156,15 @@ impl Dram {
         addr >= DRAM_BASE && addr + len as u64 <= DRAM_BASE + self.size
     }
 
-    fn frame_index(addr: u64) -> u64 {
-        (addr - DRAM_BASE) / PAGE_SIZE
+    /// `(frame number, offset in frame)` of an in-range address.
+    fn locate(addr: u64) -> (usize, usize) {
+        let rel = addr - DRAM_BASE;
+        ((rel / PAGE_SIZE) as usize, (rel % PAGE_SIZE) as usize)
+    }
+
+    /// Frame `frame`'s bytes, allocating (zeroed) on first use.
+    fn frame_mut(&mut self, frame: usize) -> &mut [u8; FRAME] {
+        self.frames[frame].get_or_insert_with(|| Box::new([0u8; FRAME]))
     }
 
     /// Read raw DRAM contents. Unwritten frames read as zero.
@@ -152,17 +179,18 @@ impl Dram {
     pub fn read(&mut self, addr: u64, buf: &mut [u8]) {
         assert!(self.contains(addr, buf.len()), "DRAM read out of range");
         self.reads += 1;
-        let mut done = 0usize;
+        let (mut frame, mut off) = Self::locate(addr);
+        let mut done = 0;
         while done < buf.len() {
-            let cur = addr + done as u64;
-            let frame = Self::frame_index(cur);
-            let off = ((cur - DRAM_BASE) % PAGE_SIZE) as usize;
-            let n = ((PAGE_SIZE as usize - off).min(buf.len() - done)).max(1);
-            match self.frames.get(&frame) {
-                Some(data) => buf[done..done + n].copy_from_slice(&data[off..off + n]),
-                None => buf[done..done + n].fill(0),
+            let n = (FRAME - off).min(buf.len() - done);
+            let out = &mut buf[done..done + n];
+            match &self.frames[frame] {
+                Some(data) => out.copy_from_slice(&data[off..off + n]),
+                None => out.fill(0),
             }
             done += n;
+            frame += 1;
+            off = 0;
         }
     }
 
@@ -174,19 +202,52 @@ impl Dram {
     pub fn write(&mut self, addr: u64, data: &[u8]) {
         assert!(self.contains(addr, data.len()), "DRAM write out of range");
         self.writes += 1;
-        let mut done = 0usize;
+        let (mut frame, mut off) = Self::locate(addr);
+        let mut done = 0;
         while done < data.len() {
-            let cur = addr + done as u64;
-            let frame = Self::frame_index(cur);
-            let off = ((cur - DRAM_BASE) % PAGE_SIZE) as usize;
-            let n = ((PAGE_SIZE as usize - off).min(data.len() - done)).max(1);
-            let slot = self
-                .frames
-                .entry(frame)
-                .or_insert_with(|| vec![0u8; PAGE_SIZE as usize].into_boxed_slice());
-            slot[off..off + n].copy_from_slice(&data[done..done + n]);
+            let n = (FRAME - off).min(data.len() - done);
+            self.frame_mut(frame)[off..off + n].copy_from_slice(&data[done..done + n]);
             done += n;
+            frame += 1;
+            off = 0;
         }
+    }
+
+    /// Read one aligned cache line — the fill path of the L2 model.
+    /// Counts as one read transaction, like [`Dram::read`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `addr` is not line aligned or the line lies outside
+    /// DRAM.
+    pub fn read_line(&mut self, addr: u64, out: &mut [u8; LINE_SIZE]) {
+        let (frame, off) = self.locate_line(addr);
+        self.reads += 1;
+        match &self.frames[frame] {
+            Some(data) => out.copy_from_slice(&data[off..off + LINE_SIZE]),
+            None => out.fill(0),
+        }
+    }
+
+    /// Write one aligned cache line — the write-back path of the L2
+    /// model. Counts as one write transaction, like [`Dram::write`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `addr` is not line aligned or the line lies outside
+    /// DRAM.
+    pub fn write_line(&mut self, addr: u64, line: &[u8; LINE_SIZE]) {
+        let (frame, off) = self.locate_line(addr);
+        self.writes += 1;
+        self.frame_mut(frame)[off..off + LINE_SIZE].copy_from_slice(line);
+    }
+
+    fn locate_line(&self, addr: u64) -> (usize, usize) {
+        assert!(
+            self.contains(addr, LINE_SIZE) && addr.is_multiple_of(LINE_SIZE as u64),
+            "DRAM line access out of range or unaligned"
+        );
+        Self::locate(addr)
     }
 
     /// Number of read transactions served.
@@ -206,7 +267,7 @@ impl Dram {
     /// garbage.
     ///
     /// Determinism: frames are visited in ascending address order (the
-    /// `BTreeMap` iteration order), and every cell of every populated
+    /// frame table's index order), and every cell of every populated
     /// frame draws from the seeded RNG exactly once, so two DRAMs with
     /// the same seed, same frame population, and same event sequence
     /// decay byte-identically. A certain-survival event (probability
@@ -216,7 +277,7 @@ impl Dram {
         if survival >= 1.0 {
             return;
         }
-        for data in self.frames.values_mut() {
+        for data in self.frames.iter_mut().flatten() {
             for cell in data.chunks_mut(8) {
                 if self.rng.next_f64() >= survival {
                     self.rng.fill(cell);
@@ -228,9 +289,10 @@ impl Dram {
     /// Iterate over all populated frames as `(base_addr, bytes)`, in
     /// ascending address order (deterministic — never hash order).
     pub fn iter_frames(&self) -> impl Iterator<Item = (u64, &[u8])> + '_ {
-        self.frames
-            .iter()
-            .map(|(frame, data)| (DRAM_BASE + frame * PAGE_SIZE, data.as_ref()))
+        self.frames.iter().enumerate().filter_map(|(frame, data)| {
+            data.as_deref()
+                .map(|bytes| (DRAM_BASE + frame as u64 * PAGE_SIZE, &bytes[..]))
+        })
     }
 
     /// Count non-overlapping 8-byte-aligned occurrences of `pattern` in
@@ -243,7 +305,8 @@ impl Dram {
     #[must_use]
     pub fn count_pattern(&self, pattern: &[u8; 8]) -> u64 {
         self.frames
-            .values()
+            .iter()
+            .flatten()
             .flat_map(|data| data.chunks_exact(8))
             .filter(|cell| cell == pattern)
             .count() as u64
