@@ -158,7 +158,7 @@ impl AesOnSocEngine {
             KeyResidency::Iram => soc.costs.iram_access_ns,
             _ => soc.costs.cache_hit_ns,
         };
-        (bytes as u64 / 16) * (soc.costs.aes_block_compute_ns + 4 * state_access)
+        soc.costs.crypt_ns(state_access, bytes as u64)
     }
 
     /// Run `f` (the sensitive compute) under the §6.2 disciplines,

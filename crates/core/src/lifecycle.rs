@@ -20,12 +20,11 @@ use crate::pressure::{PressureLevel, PressureStats};
 use crate::txn::{CommitTagger, JournalEntry, TxnJournal, TxnOp, MAX_ENTRIES};
 use sentry_crypto::parallel::{crypt_batch, BatchReport, Direction, PageJob};
 use sentry_crypto::{
-    Aes, CryptoError, FailureKind, FallbackReason, HealthGovernor, HealthStats, PageCipherMode,
-    RetryStats,
+    Aes, CryptoError, FallbackReason, HealthGovernor, HealthStats, PageCipherMode, RetryStats,
 };
+use sentry_kernel::accel_route;
 use sentry_kernel::crypto_api::CipherEngine;
 use sentry_kernel::fault::{FaultResolution, PageFault};
-use sentry_kernel::layout::{ACCEL_DMA_BASE, ACCEL_DMA_CONTROLLER, ACCEL_DMA_SIZE};
 use sentry_kernel::pagetable::{Backing, Pte, Sharing};
 use sentry_kernel::{Kernel, KernelError, Pid};
 use sentry_soc::accel::{AccelPowerState, WaitOutcome};
@@ -130,8 +129,8 @@ pub struct LifecycleStats {
     /// open for the accelerator (see [`crate::health`]).
     pub batch_fallback_breaker_open: u64,
     /// Health-governor counters (breaker trips, probes, watchdog
-    /// timeouts, abandoned and CPU-fallback bytes), mirrored from
-    /// [`Sentry::health`] after every governed dispatch.
+    /// timeouts, abandoned and CPU-fallback bytes), mirrored from the
+    /// lifecycle's governor by [`Sentry::sync_health`].
     pub health: HealthStats,
     /// On-SoC pressure telemetry (occupancy, high-water mark, watermark
     /// transitions, shed/spill/reclaim counters), mirrored from the
@@ -692,8 +691,7 @@ impl Sentry {
                 OnSocBackend::Iram => self.kernel.soc.costs.iram_access_ns,
                 OnSocBackend::LockedL2 { .. } => self.kernel.soc.costs.cache_hit_ns,
             };
-            let serial_ns =
-                (bytes / 16) * (self.kernel.soc.costs.aes_block_compute_ns + 4 * state_access);
+            let serial_ns = self.kernel.soc.costs.crypt_ns(state_access, bytes);
             let charged_ns = serial_ns.div_ceil(report.workers_used as u64);
             let soc = &mut self.kernel.soc;
             let was_enabled = soc.cpu.begin_critical();
@@ -714,83 +712,44 @@ impl Sentry {
     }
 
     /// Dispatch a decrypt batch either inline ([`Sentry::crypt_buffers`])
-    /// or through the accelerator queue, per
+    /// or through the accelerator queue via [`accel_route`], per
     /// [`crate::config::SentryConfig::pipeline`].
     ///
     /// Routing keeps the *functional* transform on the host path — the
     /// batched bitsliced kernel produces exactly the bytes the engine
     /// model would — and substitutes the accelerator-queue completion
     /// horizon for the CPU charge via `set_now_ns` (the sanctioned
-    /// cost-substitution convention; see `SimClock::set_now_ns`). The
-    /// ciphertext is staged through the DMA bounce window *before* the
-    /// `accel.dma` failpoint and the plaintext written back only after
-    /// the queue completes, so accelerator traffic stays visible to a
-    /// bus monitor and a power cut mid-operation leaves only ciphertext
-    /// in the window.
+    /// cost-substitution convention; see `SimClock::set_now_ns`).
     ///
-    /// Typed fallbacks (counted on [`LifecycleStats`]): a chaining
-    /// cipher mode ([`FallbackReason::UnsupportedCipherMode`]), a
-    /// down-scaled accelerator clock while the device is locked
-    /// ([`FallbackReason::AccelDownScaled`], §8.2), and batches too
-    /// small to amortise descriptor setup
-    /// ([`FallbackReason::BelowThreshold`]).
+    /// Typed fallbacks are counted on [`LifecycleStats`]; XTS and CTR
+    /// batches are routable, CBC chains serially and is not.
     fn route_or_crypt_decrypt(
         &mut self,
         jobs: &[(u64, [u8; 16])],
         buf: &mut [u8],
     ) -> Result<(Vec<[u8; 16]>, BatchReport), SentryError> {
-        let p = self.config.pipeline;
-        if !(p.enabled && p.route_lifecycle_batches) || jobs.is_empty() {
+        if !self.config.pipeline.enabled || jobs.is_empty() {
             return self.crypt_buffers(Direction::Decrypt, jobs, buf);
         }
-        let reason = if self.config.cipher_mode == PageCipherMode::Cbc {
-            Some(FallbackReason::UnsupportedCipherMode)
-        } else if self.kernel.soc.accel.state != AccelPowerState::Awake {
-            Some(FallbackReason::AccelDownScaled)
-        } else if jobs.len() < 2 {
-            Some(FallbackReason::BelowThreshold)
-        } else if !self.health.allow_accel(self.kernel.soc.clock.now_ns()) {
-            // Breaker open, probe interval not yet elapsed: the engine is
-            // distrusted, the bitsliced CPU path carries the batch.
-            Some(FallbackReason::BreakerOpen)
-        } else {
-            None
-        };
-        if let Some(reason) = reason {
+        if let Some(reason) = accel_route::veto(
+            &self.kernel.soc,
+            &mut self.health,
+            self.config.cipher_mode != PageCipherMode::Cbc,
+            jobs.len(),
+            true,
+            buf.len() as u64,
+        ) {
             match reason {
                 FallbackReason::AccelDownScaled => self.stats.batch_fallback_down_scaled += 1,
                 FallbackReason::UnsupportedCipherMode => {
                     self.stats.batch_fallback_unsupported_mode += 1;
                 }
-                FallbackReason::BreakerOpen => {
-                    self.stats.batch_fallback_breaker_open += 1;
-                    self.health.note_fallback_crypt(buf.len() as u64);
-                    self.stats.health = self.health.stats;
-                }
+                FallbackReason::BreakerOpen => self.stats.batch_fallback_breaker_open += 1,
                 _ => self.stats.batch_fallback_below_threshold += 1,
             }
             return self.crypt_buffers(Direction::Decrypt, jobs, buf);
         }
-
-        // Stage the ciphertext and submit the descriptor. The queue
-        // captures the engine's clock state *now*, so a batch submitted
-        // while Awake keeps its throughput even if the device locks
-        // (and down-scales the accelerator) before it completes.
-        let soc = &mut self.kernel.soc;
-        let staged = buf.len().min(ACCEL_DMA_SIZE as usize);
-        soc.dma_write(ACCEL_DMA_CONTROLLER, ACCEL_DMA_BASE, &buf[..staged])?;
-        soc.failpoint("accel.dma")?;
-        // Sustained-fault site: an armed AccelWedge/Corrupt/Slow plan
-        // here stages the fault onto the descriptor submitted below.
-        soc.failpoint("accel.submit")?;
-        let t0 = soc.clock.now_ns();
-        let id = soc.accel_queue.submit(&soc.accel, t0, buf.len() as u64);
-        // Watchdog deadline: the op's own modeled duration times the
-        // configured margin, anchored at submit.
-        let deadline = t0.saturating_add(
-            self.health
-                .watchdog_ns(soc.accel.op_duration_ns(buf.len() as u64)),
-        );
+        let op = accel_route::dispatch(&mut self.kernel.soc, &self.health, buf)?;
 
         // Functional transform on the host path (same bytes the engine
         // would produce); its CPU charge — including any parallel-lane
@@ -801,44 +760,23 @@ impl Sentry {
         let soc = &mut self.kernel.soc;
         // Capture the host-path CPU charge before the substitution
         // rewind: if the engine fails, the batch re-pays exactly this.
+        let t0 = op.submitted_ns();
         let cpu_cost = soc.clock.now_ns() - t0;
         soc.clock.set_now_ns(t0);
-        match soc.accel_queue.wait_deadline(id, &mut soc.clock, deadline) {
+        match accel_route::retire(soc, &mut self.health, op)? {
             WaitOutcome::Done { stall_ns } => {
-                // Plaintext lands in the bounce window only at
-                // completion.
-                soc.dma_write(ACCEL_DMA_CONTROLLER, ACCEL_DMA_BASE, &buf[..staged])?;
+                accel_route::land(soc, buf)?;
                 self.stats.routed_batches += 1;
                 self.stats.routed_batch_pages += jobs.len() as u64;
                 self.stats.routed_stall_ns += stall_ns;
-                let now = soc.clock.now_ns();
-                self.health.record_success(now);
             }
-            outcome @ (WaitOutcome::TimedOut { .. } | WaitOutcome::Corrupt { .. }) => {
-                // Degraded mode. The clock sits at the watchdog deadline
-                // (timeout) or the corrupt completion; the correct bytes
-                // are already in `buf` — the host transform ran — so the
-                // batch re-pays the captured CPU charge and proceeds on
-                // the bitsliced path. The engine's output is discarded:
-                // zeroize the bounce window so the abandoned transfer
-                // leaves nothing for a bus monitor or cold-boot dump.
-                let now = soc.clock.now_ns();
-                match outcome {
-                    WaitOutcome::TimedOut { .. } => {
-                        self.health.record_failure(now, FailureKind::Timeout);
-                        self.health.note_abandoned(staged as u64);
-                    }
-                    WaitOutcome::Corrupt { .. } => {
-                        self.health.record_failure(now, FailureKind::Corrupt);
-                    }
-                    WaitOutcome::Done { .. } => unreachable!(),
-                }
-                soc.dma_write(ACCEL_DMA_CONTROLLER, ACCEL_DMA_BASE, &vec![0u8; staged])?;
+            // Abandoned: the correct bytes are already in `buf` — the
+            // host transform ran — so the batch re-pays the captured
+            // CPU charge.
+            WaitOutcome::TimedOut { .. } | WaitOutcome::Corrupt { .. } => {
                 soc.clock.advance(cpu_cost);
-                self.health.note_fallback_crypt(buf.len() as u64);
             }
         }
-        self.stats.health = self.health.stats;
         Ok((tags, report))
     }
 

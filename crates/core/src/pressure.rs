@@ -352,8 +352,9 @@ impl CipherEngine for SpillAesEngine {
 }
 
 impl SpillAesEngine {
+    /// The key schedule lives in iRAM.
     fn cost_ns(soc: &Soc, bytes: usize) -> u64 {
-        (bytes as u64 / 16) * (soc.costs.aes_block_compute_ns + 4 * soc.costs.iram_access_ns)
+        soc.costs.crypt_ns(soc.costs.iram_access_ns, bytes as u64)
     }
 }
 

@@ -12,6 +12,7 @@
 //! hardware accelerator in device registers fed over the bus, and AES On
 //! SoC in iRAM or a locked cache way.
 
+use crate::accel_route;
 use crate::error::KernelError;
 use crate::layout::CRYPTO_KEYS_BASE;
 use sentry_crypto::modes::{
@@ -306,10 +307,9 @@ impl GenericAesEngine {
         CRYPTO_KEYS_BASE + self.slot * 4096
     }
 
-    fn cbc_cost_ns(soc: &Soc, bytes: usize) -> u64 {
-        // Per 16-byte block: the arithmetic plus a handful of
-        // cache-resident state touches.
-        (bytes as u64 / 16) * (soc.costs.aes_block_compute_ns + 4 * soc.costs.cache_hit_ns)
+    /// The key schedule and tables are cache-resident.
+    fn cost_ns(soc: &Soc, bytes: usize) -> u64 {
+        soc.costs.crypt_ns(soc.costs.cache_hit_ns, bytes as u64)
     }
 
     fn ready(&self) -> Result<&Aes, KernelError> {
@@ -384,7 +384,7 @@ impl CipherEngine for GenericAesEngine {
             }
             PageCipherMode::Ctr => ctr_crypt(self.ready_bits()?, iv, data),
         }
-        soc.clock.advance(Self::cbc_cost_ns(soc, data.len()));
+        soc.clock.advance(Self::cost_ns(soc, data.len()));
         Ok(())
     }
 
@@ -403,7 +403,7 @@ impl CipherEngine for GenericAesEngine {
             }
             PageCipherMode::Ctr => ctr_crypt(self.ready_bits()?, iv, data),
         }
-        soc.clock.advance(Self::cbc_cost_ns(soc, data.len()));
+        soc.clock.advance(Self::cost_ns(soc, data.len()));
         Ok(())
     }
 
@@ -441,7 +441,7 @@ impl CipherEngine for GenericAesEngine {
             }
             PageCipherMode::Ctr => ctr_crypt_extents(self.ready_bits()?, ivs, data),
         }
-        soc.clock.advance(Self::cbc_cost_ns(soc, data.len()));
+        soc.clock.advance(Self::cost_ns(soc, data.len()));
         Ok(())
     }
 
@@ -462,7 +462,7 @@ impl CipherEngine for GenericAesEngine {
             }
             PageCipherMode::Ctr => ctr_crypt_extents(self.ready_bits()?, ivs, data),
         }
-        soc.clock.advance(Self::cbc_cost_ns(soc, data.len()));
+        soc.clock.advance(Self::cost_ns(soc, data.len()));
         Ok(())
     }
 }
@@ -513,10 +513,10 @@ impl AccelAesEngine {
         }
     }
 
-    /// Stage one accelerator operation: DMA the input through the bounce
-    /// window (bus-visible), hit the `accel.dma` failpoint mid-transfer,
-    /// transform `data` in place, DMA the result back, and charge the
-    /// engine's calibrated duration.
+    /// Run one accelerator operation: [`accel_route::stage`] the input
+    /// through the bounce window (bus-visible, with the `accel.dma` kill
+    /// point), transform `data` in place, [`accel_route::land`] the
+    /// result, and charge the engine's calibrated duration.
     ///
     /// Timing note: the bounce-window DMA transactions advance the clock
     /// with generic bus costs; [`sentry_soc::clock::SimClock::set_now_ns`]
@@ -532,20 +532,7 @@ impl AccelAesEngine {
     ) -> Result<(), KernelError> {
         let (aes, bits) = self.ready()?;
         let t0 = soc.clock.now_ns();
-        // Input DMA: the engine masters the bus and pulls the source
-        // buffer through the bounce window. The window is a fixed-size
-        // model; larger requests stream through it in passes, and one
-        // pass is enough to make the traffic observable.
-        let staged = data.len().min(crate::layout::ACCEL_DMA_SIZE as usize);
-        soc.dma_write(
-            crate::layout::ACCEL_DMA_CONTROLLER,
-            crate::layout::ACCEL_DMA_BASE,
-            &data[..staged],
-        )?;
-        // A power cut here — input staged, result not yet produced —
-        // leaves only the staged input (ciphertext, on the read path) in
-        // the window.
-        soc.failpoint("accel.dma")?;
+        accel_route::stage(soc, data)?;
         match self.mode {
             PageCipherMode::Cbc => {
                 // CBC chains serially within each extent; the engine
@@ -566,13 +553,7 @@ impl AccelAesEngine {
             PageCipherMode::Xts => xts_crypt_extents(bits, bits, encrypt, ivs, data),
             PageCipherMode::Ctr => ctr_crypt_extents(bits, ivs, data),
         }
-        // Result DMA: written back only at operation completion — a kill
-        // before this point never exposes the engine's output.
-        soc.dma_write(
-            crate::layout::ACCEL_DMA_CONTROLLER,
-            crate::layout::ACCEL_DMA_BASE,
-            &data[..staged],
-        )?;
+        accel_route::land(soc, data)?;
         soc.clock
             .set_now_ns(t0 + soc.accel.op_duration_ns(data.len() as u64));
         Ok(())

@@ -19,21 +19,30 @@
 //! sectors that were never written through this mapping pass through
 //! unverified (there is nothing to compare against).
 
+use crate::accel_route;
 use crate::block::{BlockDevice, SECTOR_SIZE};
-use crate::crypto_api::CryptoApi;
+use crate::crypto_api::{CipherEngine, CryptoApi};
 use crate::error::KernelError;
-use crate::layout::{ACCEL_DMA_BASE, ACCEL_DMA_CONTROLLER, ACCEL_DMA_SIZE};
 use sentry_crypto::mac::trunc8;
 use sentry_crypto::modes::ctr_crypt_extents;
 use sentry_crypto::pipeline::{ctr_keystream, xor_keystream};
 use sentry_crypto::{
-    Aes, BitslicedAes, Cmac, FailureKind, FallbackReason, HealthConfig, HealthGovernor,
-    HealthState, HealthStats, KeystreamCache, KeystreamStats, PageCipherMode, PipelineConfig,
+    Aes, BitslicedAes, Cmac, FallbackReason, HealthConfig, HealthGovernor, HealthState,
+    HealthStats, KeystreamCache, KeystreamStats, PageCipherMode, PipelineConfig,
 };
-use sentry_soc::accel::{AccelPowerState, WaitOutcome};
+use sentry_soc::accel::WaitOutcome;
 use sentry_soc::{Soc, SocError};
 use std::cell::RefCell;
 use std::collections::HashMap;
+
+/// Keystream cache capacity, in sectors. Oldest entries are zeroized
+/// and evicted first.
+const KEYSTREAM_SECTORS: usize = 128;
+
+/// How many sectors past the end of the current request the precompute
+/// lanes may run ahead while a descriptor is in flight (bounded
+/// lookahead keeps the on-SoC scratch footprint small).
+const PRECOMPUTE_AHEAD: u64 = 64;
 
 /// Cumulative counters for the overlapped read path.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -59,7 +68,8 @@ pub struct ReadOverlapStats {
     pub fallback_down_scaled: u64,
     /// Fallbacks because the cipher mode is serially chained.
     pub fallback_unsupported_mode: u64,
-    /// Fallbacks because the miss run was below `min_accel_sectors`.
+    /// Fallbacks because the miss run was below
+    /// [`accel_route::MIN_ROUTED_UNITS`] sectors.
     pub fallback_below_threshold: u64,
     /// Fallbacks because the health breaker was open for the accel path.
     pub fallback_breaker_open: u64,
@@ -71,10 +81,6 @@ pub struct ReadOverlapStats {
     pub accel_timeouts: u64,
     /// Accelerator descriptors retired with a corrupt status word.
     pub accel_corrupt: u64,
-    /// Health-governor counters for this mapping (breaker trips, probes,
-    /// abandoned and CPU-fallback bytes, disk retries), synced from the
-    /// governor at snapshot time.
-    pub health: HealthStats,
 }
 
 impl ReadOverlapStats {
@@ -96,6 +102,18 @@ impl ReadOverlapStats {
             + self.fallback_unsupported_mode
             + self.fallback_below_threshold
             + self.fallback_breaker_open
+    }
+}
+
+/// The cipher a mapping uses: the pinned `cipher`, else the Crypto API's
+/// preferred one.
+fn engine<'a>(
+    api: &'a mut CryptoApi,
+    cipher: &Option<String>,
+) -> Result<&'a mut (dyn CipherEngine + 'static), KernelError> {
+    match cipher {
+        Some(name) => api.by_name_mut(name),
+        None => api.preferred_mut(),
     }
 }
 
@@ -121,7 +139,7 @@ impl ReadPipeline {
     fn new(config: PipelineConfig) -> Self {
         ReadPipeline {
             config,
-            cache: KeystreamCache::new(SECTOR_SIZE, config.keystream_sectors),
+            cache: KeystreamCache::new(SECTOR_SIZE, KEYSTREAM_SECTORS),
             fill_cap: None,
             bits: None,
             stats: ReadOverlapStats::default(),
@@ -235,11 +253,10 @@ impl DmCrypt {
     /// Snapshot of the pipeline counters, if the pipeline is enabled.
     #[must_use]
     pub fn pipeline_stats(&self) -> Option<(ReadOverlapStats, KeystreamStats)> {
-        self.pipeline.borrow().as_ref().map(|p| {
-            let mut stats = p.stats;
-            stats.health = self.health.borrow().stats;
-            (stats, p.cache.stats)
-        })
+        self.pipeline
+            .borrow()
+            .as_ref()
+            .map(|p| (p.stats, p.cache.stats))
     }
 
     /// Number of keystream sectors currently resident in the cache.
@@ -256,16 +273,6 @@ impl DmCrypt {
         iv
     }
 
-    fn engine<'a>(
-        &self,
-        api: &'a mut CryptoApi,
-    ) -> Result<&'a mut (dyn crate::crypto_api::CipherEngine + 'static), KernelError> {
-        match &self.cipher {
-            Some(name) => api.by_name_mut(name),
-            None => api.preferred_mut(),
-        }
-    }
-
     /// Install the volume key (dm-crypt's one key-setting call).
     ///
     /// # Errors
@@ -277,7 +284,7 @@ impl DmCrypt {
         soc: &mut Soc,
         key: &[u8],
     ) -> Result<(), KernelError> {
-        self.engine(api)?.set_key(soc, key)?;
+        engine(api, &self.cipher)?.set_key(soc, key)?;
         // Domain-separated sector-MAC key: encrypting a fixed label
         // under the volume key reuses the installed cipher family
         // without a second key-management path.
@@ -375,37 +382,34 @@ impl DmCrypt {
                 }
             }
         }
-        let mode = self.engine(api)?.mode();
-        {
-            let mut pl = self.pipeline.borrow_mut();
-            if let Some(p) = pl.as_mut() {
-                if p.config.enabled {
-                    let mut health = self.health.borrow_mut();
-                    return Self::read_overlapped(
-                        p,
-                        api,
-                        soc,
-                        sector,
-                        buf,
-                        &ivs,
-                        mode,
-                        disk_wait_ns,
-                        &self.cipher,
-                        &mut health,
-                    );
-                }
+        let mode = engine(api, &self.cipher)?.mode();
+        if let Some(p) = self.pipeline.borrow_mut().as_mut() {
+            if p.config.enabled {
+                return Self::read_overlapped(
+                    p,
+                    api,
+                    soc,
+                    sector,
+                    buf,
+                    &ivs,
+                    mode,
+                    disk_wait_ns,
+                    &self.cipher,
+                    &mut self.health.borrow_mut(),
+                );
             }
         }
         // One extent call for the whole request: an engine with a batch
         // backend decrypts the sector run as a single block stream
         // instead of draining its pipeline at every 512-byte boundary.
-        self.engine(api)?.decrypt_extent(soc, &ivs, buf)
+        engine(api, &self.cipher)?.decrypt_extent(soc, &ivs, buf)
     }
 
     /// The overlapped read path: XOR precomputed keystream into hit
     /// sectors, queue the miss run to the accelerator, and keep the CPU's
     /// bitsliced lanes busy precomputing lookahead keystream while the
-    /// descriptor is in flight.
+    /// descriptor is in flight. Only CTR has data-independent keystream:
+    /// other modes route nothing and decrypt the whole request inline.
     #[allow(clippy::too_many_arguments)]
     fn read_overlapped(
         p: &mut ReadPipeline,
@@ -419,225 +423,153 @@ impl DmCrypt {
         cipher: &Option<String>,
         health: &mut HealthGovernor,
     ) -> Result<(), KernelError> {
-        fn engine<'a>(
-            api: &'a mut CryptoApi,
-            cipher: &Option<String>,
-        ) -> Result<&'a mut (dyn crate::crypto_api::CipherEngine + 'static), KernelError> {
-            match cipher {
-                Some(name) => api.by_name_mut(name),
-                None => api.preferred_mut(),
-            }
-        }
         let nsect = buf.len() / SECTOR_SIZE;
-        if mode != PageCipherMode::Ctr {
-            // CBC chains serially (and XTS has no data-independent
-            // keystream): typed fallback, decrypt inline as before.
-            p.stats.note_fallback(FallbackReason::UnsupportedCipherMode);
-            p.stats.inline_sectors += nsect as u64;
-            return engine(api, cipher)?.decrypt_extent(soc, ivs, buf);
-        }
-        let epoch = p.cache.epoch();
-        let ks_cost = Self::keystream_cost_ns(soc, SECTOR_SIZE);
-        // Precompute hidden under the device wait the caller just paid:
-        // the CPU was idle while the device streamed, so keystream for
-        // this request's leading uncached sectors comes for free up to
-        // that budget (charging nothing is the same cost-substitution
-        // convention AES On SoC's critical sections use).
-        if let Some(bits) = &p.bits {
-            let mut budget = disk_wait_ns;
-            for (i, iv) in ivs.iter().enumerate() {
-                let s = sector + i as u64;
-                if p.cache.contains(s) {
-                    continue;
-                }
-                if budget < ks_cost {
-                    break;
-                }
-                if p.fill_cap.is_some_and(|cap| p.cache.len() >= cap) {
-                    p.stats.keystream_fill_capped += 1;
-                    break;
-                }
-                budget -= ks_cost;
-                p.cache.insert(s, ctr_keystream(bits, iv, SECTOR_SIZE));
-                p.stats.precomputed_under_disk += 1;
-            }
-        }
-        // Partition the request: sectors with resident keystream finish
-        // with a XOR; the rest form the miss run. `take` consumes each
-        // entry — the single-use discipline.
+        let ctr = mode == PageCipherMode::Ctr;
+        // Generating keystream costs what the engine's per-block charge
+        // does, with the lanes' state cache-resident.
+        let ks_cost = soc
+            .costs
+            .crypt_ns(soc.costs.cache_hit_ns, SECTOR_SIZE as u64);
         let mut hits: Vec<(usize, Vec<u8>)> = Vec::new();
         let mut misses: Vec<usize> = Vec::new();
-        for i in 0..nsect {
-            match p.cache.take(sector + i as u64, epoch) {
-                Some(ks) => hits.push((i, ks)),
-                None => misses.push(i),
-            }
-        }
-        let route_reason = if misses.is_empty() {
-            None
-        } else if soc.accel.state != AccelPowerState::Awake {
-            Some(FallbackReason::AccelDownScaled)
-        } else if misses.len() < p.config.min_accel_sectors {
-            Some(FallbackReason::BelowThreshold)
-        } else if p.bits.is_none() {
-            Some(FallbackReason::Disabled)
-        } else if !health.allow_accel(soc.clock.now_ns()) {
-            // Breaker is open and the probe interval has not elapsed:
-            // the engine is distrusted, route everything to the CPU.
-            Some(FallbackReason::BreakerOpen)
-        } else {
-            None
-        };
-
-        if route_reason.is_none() && !misses.is_empty() {
-            // Gather the miss ciphertext and stage it through the DMA
-            // bounce window — the accelerator masters the bus, so the
-            // monitor sees this transfer.
-            let mut gathered = Vec::with_capacity(misses.len() * SECTOR_SIZE);
-            for &i in &misses {
-                gathered.extend_from_slice(&buf[i * SECTOR_SIZE..(i + 1) * SECTOR_SIZE]);
-            }
-            let staged = gathered.len().min(ACCEL_DMA_SIZE as usize);
-            soc.dma_write(ACCEL_DMA_CONTROLLER, ACCEL_DMA_BASE, &gathered[..staged])?;
-            // Kill point mid-DMA: input (ciphertext) staged, result not
-            // yet produced — a power cut here exposes no plaintext and
-            // no keystream.
-            soc.failpoint("accel.dma")?;
-            // Sustained-fault staging site: an armed wedge/corrupt/slow
-            // plan here lands on the descriptor submitted next.
-            soc.failpoint("accel.submit")?;
-            let now = soc.clock.now_ns();
-            let id = soc
-                .accel_queue
-                .submit(&soc.accel, now, gathered.len() as u64);
-            p.stats.routed_extents += 1;
-            p.stats.routed_sectors += misses.len() as u64;
-
-            // The CPU runs ahead while the descriptor is in flight:
-            // first the XOR finish of the hit sectors…
-            for (i, ks) in &mut hits {
-                xor_keystream(&mut buf[*i * SECTOR_SIZE..(*i + 1) * SECTOR_SIZE], ks);
-                soc.clock.advance(Self::xor_cost_ns(soc, SECTOR_SIZE));
-                p.stats.xor_sectors += 1;
-                for b in ks.iter_mut() {
-                    *b = 0;
-                }
-            }
-            // …then lookahead keystream for the sectors a sequential
-            // reader will ask for next, until the engine catches up.
+        if ctr {
+            let epoch = p.cache.epoch();
+            // Precompute hidden under the device wait the caller just
+            // paid: the CPU was idle while the device streamed, so
+            // keystream for this request's leading uncached sectors
+            // comes for free up to that budget (charging nothing is the
+            // same cost-substitution convention AES On SoC's critical
+            // sections use).
             if let Some(bits) = &p.bits {
-                let deadline = soc.accel_queue.completion_ns(id).unwrap_or(now);
-                let mut next = sector + nsect as u64;
-                let end = next + p.config.precompute_ahead as u64;
-                while next < end {
-                    if p.cache.contains(next) {
-                        next += 1;
+                let mut budget = disk_wait_ns;
+                for (i, iv) in ivs.iter().enumerate() {
+                    let s = sector + i as u64;
+                    if p.cache.contains(s) {
                         continue;
                     }
-                    if soc.clock.now_ns() + ks_cost > deadline {
+                    if budget < ks_cost {
                         break;
                     }
                     if p.fill_cap.is_some_and(|cap| p.cache.len() >= cap) {
                         p.stats.keystream_fill_capped += 1;
                         break;
                     }
-                    p.cache.insert(
-                        next,
-                        ctr_keystream(bits, &Self::sector_iv(next), SECTOR_SIZE),
-                    );
-                    soc.clock.advance(ks_cost);
-                    p.stats.precomputed_under_accel += 1;
-                    next += 1;
+                    budget -= ks_cost;
+                    p.cache.insert(s, ctr_keystream(bits, iv, SECTOR_SIZE));
+                    p.stats.precomputed_under_disk += 1;
                 }
             }
-            // Retire the descriptor (stalling only for whatever engine
-            // time the CPU failed to cover) under a watchdog deadline
-            // derived from the op's own modeled duration, and apply its
-            // result — or abandon it and re-run the work on the CPU.
-            let miss_ivs: Vec<[u8; 16]> = misses.iter().map(|&i| ivs[i]).collect();
-            let deadline = now.saturating_add(
-                health.watchdog_ns(soc.accel.op_duration_ns(gathered.len() as u64)),
-            );
-            match soc.accel_queue.wait_deadline(id, &mut soc.clock, deadline) {
-                WaitOutcome::Done { stall_ns } => {
-                    p.stats.accel_stall_ns += stall_ns;
-                    health.record_success(soc.clock.now_ns());
-                    let bits = p.bits.as_ref().expect("routed with key");
-                    ctr_crypt_extents(bits, &miss_ivs, &mut gathered);
-                    // Result write-back DMA happens at completion —
-                    // before this point the bounce window held only
-                    // ciphertext.
-                    soc.dma_write(ACCEL_DMA_CONTROLLER, ACCEL_DMA_BASE, &gathered[..staged])?;
-                }
-                outcome @ (WaitOutcome::TimedOut { .. } | WaitOutcome::Corrupt { .. }) => {
-                    match outcome {
-                        WaitOutcome::TimedOut { waited_ns } => {
-                            p.stats.accel_stall_ns += waited_ns;
-                            p.stats.accel_timeouts += 1;
-                            health.record_failure(soc.clock.now_ns(), FailureKind::Timeout);
-                            health.note_abandoned(gathered.len() as u64);
-                        }
-                        WaitOutcome::Corrupt { stall_ns } => {
-                            p.stats.accel_stall_ns += stall_ns;
-                            p.stats.accel_corrupt += 1;
-                            health.record_failure(soc.clock.now_ns(), FailureKind::Corrupt);
-                        }
-                        WaitOutcome::Done { .. } => unreachable!(),
-                    }
-                    // The bounce window holds either our staged
-                    // ciphertext (timeout) or engine garbage (corrupt);
-                    // zeroize it before the CPU takes over so the
-                    // abandoned transfer leaves nothing for a bus
-                    // monitor or cold-boot dump.
-                    soc.dma_write(ACCEL_DMA_CONTROLLER, ACCEL_DMA_BASE, &vec![0u8; staged])?;
-                    // Degraded mode: decrypt the miss run on the CPU
-                    // engine. CTR under the same (key, sector IV) pairs
-                    // is byte-identical to what the engine would have
-                    // produced, so callers never see the fault.
-                    engine(api, cipher)?.decrypt_extent(soc, &miss_ivs, &mut gathered)?;
-                    health.note_fallback_crypt(gathered.len() as u64);
-                    p.stats.inline_sectors += misses.len() as u64;
+            // Partition the request: sectors with resident keystream
+            // finish with a XOR; the rest form the miss run. `take`
+            // consumes each entry — the single-use discipline.
+            for i in 0..nsect {
+                match p.cache.take(sector + i as u64, epoch) {
+                    Some(ks) => hits.push((i, ks)),
+                    None => misses.push(i),
                 }
             }
-            for (k, &i) in misses.iter().enumerate() {
-                buf[i * SECTOR_SIZE..(i + 1) * SECTOR_SIZE]
-                    .copy_from_slice(&gathered[k * SECTOR_SIZE..(k + 1) * SECTOR_SIZE]);
-            }
-            return Ok(());
+        } else {
+            misses.extend(0..nsect);
         }
+        let miss_bytes = misses.len() * SECTOR_SIZE;
+        let veto = if misses.is_empty() {
+            None
+        } else {
+            accel_route::veto(
+                soc,
+                health,
+                ctr,
+                misses.len(),
+                p.bits.is_some(),
+                miss_bytes as u64,
+            )
+        };
+        let miss_ivs: Vec<[u8; 16]> = misses.iter().map(|&i| ivs[i]).collect();
+        let mut gathered = Vec::with_capacity(miss_bytes);
+        for &i in &misses {
+            gathered.extend_from_slice(&buf[i * SECTOR_SIZE..(i + 1) * SECTOR_SIZE]);
+        }
+        let op = if veto.is_none() && !misses.is_empty() {
+            let op = accel_route::dispatch(soc, health, &gathered)?;
+            p.stats.routed_extents += 1;
+            p.stats.routed_sectors += misses.len() as u64;
+            Some(op)
+        } else {
+            None
+        };
 
-        // Inline path: XOR whatever keystream we do have, then decrypt
-        // the misses on the CPU engine.
+        // The CPU runs ahead while any descriptor is in flight: first
+        // the XOR finish of the hit sectors…
         for (i, ks) in &mut hits {
             xor_keystream(&mut buf[*i * SECTOR_SIZE..(*i + 1) * SECTOR_SIZE], ks);
             soc.clock.advance(Self::xor_cost_ns(soc, SECTOR_SIZE));
             p.stats.xor_sectors += 1;
-            for b in ks.iter_mut() {
-                *b = 0;
-            }
+            ks.fill(0);
         }
-        if let Some(reason) = route_reason {
-            p.stats.note_fallback(reason);
-            p.stats.inline_sectors += misses.len() as u64;
-            let miss_ivs: Vec<[u8; 16]> = misses.iter().map(|&i| ivs[i]).collect();
-            let mut gathered = Vec::with_capacity(misses.len() * SECTOR_SIZE);
-            for &i in &misses {
-                gathered.extend_from_slice(&buf[i * SECTOR_SIZE..(i + 1) * SECTOR_SIZE]);
+        let on_cpu = match op {
+            Some(op) => {
+                // …then lookahead keystream for the sectors a sequential
+                // reader will ask for next, until the engine catches up.
+                if let Some(bits) = &p.bits {
+                    let deadline = op.completes_at_ns(soc);
+                    let mut next = sector + nsect as u64;
+                    let end = next + PRECOMPUTE_AHEAD;
+                    while next < end {
+                        if p.cache.contains(next) {
+                            next += 1;
+                            continue;
+                        }
+                        if soc.clock.now_ns() + ks_cost > deadline {
+                            break;
+                        }
+                        if p.fill_cap.is_some_and(|cap| p.cache.len() >= cap) {
+                            p.stats.keystream_fill_capped += 1;
+                            break;
+                        }
+                        p.cache.insert(
+                            next,
+                            ctr_keystream(bits, &Self::sector_iv(next), SECTOR_SIZE),
+                        );
+                        soc.clock.advance(ks_cost);
+                        p.stats.precomputed_under_accel += 1;
+                        next += 1;
+                    }
+                }
+                match accel_route::retire(soc, health, op)? {
+                    WaitOutcome::Done { stall_ns } => {
+                        p.stats.accel_stall_ns += stall_ns;
+                        let bits = p.bits.as_ref().expect("routed with key");
+                        ctr_crypt_extents(bits, &miss_ivs, &mut gathered);
+                        accel_route::land(soc, &gathered)?;
+                        false
+                    }
+                    WaitOutcome::TimedOut { waited_ns } => {
+                        p.stats.accel_stall_ns += waited_ns;
+                        p.stats.accel_timeouts += 1;
+                        true
+                    }
+                    WaitOutcome::Corrupt { stall_ns } => {
+                        p.stats.accel_stall_ns += stall_ns;
+                        p.stats.accel_corrupt += 1;
+                        true
+                    }
+                }
             }
+            None => veto.inspect(|&r| p.stats.note_fallback(r)).is_some(),
+        };
+        if on_cpu {
+            // Vetoed or abandoned: decrypt the miss run on the CPU
+            // engine. CTR under the same (key, sector IV) pairs is
+            // byte-identical to what the accelerator would have
+            // produced, so callers never see the fault.
             engine(api, cipher)?.decrypt_extent(soc, &miss_ivs, &mut gathered)?;
-            for (k, &i) in misses.iter().enumerate() {
-                buf[i * SECTOR_SIZE..(i + 1) * SECTOR_SIZE]
-                    .copy_from_slice(&gathered[k * SECTOR_SIZE..(k + 1) * SECTOR_SIZE]);
-            }
+            p.stats.inline_sectors += misses.len() as u64;
+        }
+        for (k, &i) in misses.iter().enumerate() {
+            buf[i * SECTOR_SIZE..(i + 1) * SECTOR_SIZE]
+                .copy_from_slice(&gathered[k * SECTOR_SIZE..(k + 1) * SECTOR_SIZE]);
         }
         Ok(())
-    }
-
-    /// CPU cost to generate `bytes` of keystream with the bitsliced
-    /// lanes — the same per-block arithmetic charge the generic engine
-    /// models.
-    fn keystream_cost_ns(soc: &Soc, bytes: usize) -> u64 {
-        (bytes as u64 / 16) * (soc.costs.aes_block_compute_ns + 4 * soc.costs.cache_hit_ns)
     }
 
     /// CPU cost to XOR one unit of precomputed keystream into data —
@@ -668,7 +600,7 @@ impl DmCrypt {
         let ivs: Vec<[u8; 16]> = (0..data.len() / SECTOR_SIZE)
             .map(|i| Self::sector_iv(sector + i as u64))
             .collect();
-        self.engine(api)?.encrypt_extent(soc, &ivs, &mut ct)?;
+        engine(api, &self.cipher)?.encrypt_extent(soc, &ivs, &mut ct)?;
         // Record the tag before the ciphertext reaches the device, so
         // there is no window in which tampered bytes could be accepted.
         if let Some(mac) = self.mac.borrow().as_ref() {
@@ -686,6 +618,7 @@ mod tests {
     use super::*;
     use crate::block::RamDisk;
     use crate::crypto_api::GenericAesEngine;
+    use sentry_soc::accel::AccelPowerState;
 
     fn setup() -> (CryptoApi, Soc, RamDisk, DmCrypt) {
         let mut api = CryptoApi::new();

@@ -19,6 +19,8 @@
 //! * [`crypto_api`] — a Linux-CryptoAPI-like cipher registry with
 //!   priorities; Sentry registers AES On SoC *above* the generic AES so
 //!   legacy consumers (dm-crypt) pick it up transparently (§7);
+//! * [`accel_route`] — the one path crypt work takes to and from the
+//!   crypto accelerator;
 //! * [`block`]/[`dmcrypt`]/[`bufcache`]/[`vfs`] — the storage stack the
 //!   dm-crypt experiments (Figure 9) run on;
 //! * [`sched`] — a round-robin scheduler with the unschedulable queue
@@ -28,6 +30,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod accel_route;
 pub mod block;
 pub mod bufcache;
 pub mod crypto_api;

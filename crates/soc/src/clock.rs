@@ -136,6 +136,13 @@ impl CostModel {
         }
     }
 
+    /// Simulated CPU time to AES-crypt `bytes`: per 16-byte block, the
+    /// arithmetic plus four accesses to wherever the state lives.
+    #[must_use]
+    pub fn crypt_ns(&self, state_access_ns: u64, bytes: u64) -> u64 {
+        (bytes / 16) * (self.aes_block_compute_ns + 4 * state_access_ns)
+    }
+
     /// Simulated time to zero `bytes` with the kernel zeroing thread.
     #[must_use]
     pub fn zeroing_ns(&self, bytes: u64) -> u64 {

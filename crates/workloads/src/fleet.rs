@@ -66,8 +66,9 @@ const DEVICE_DRAM: u64 = 48 << 20;
 const DISK_SECTORS: u64 = 64;
 
 /// Sectors in each accel-wedge-storm burst — large enough that the
-/// overlapped read path always clears `min_accel_sectors` and routes to
-/// the (wedged) engine.
+/// overlapped read path always clears the router's minimum dispatch
+/// (`sentry_kernel::accel_route::MIN_ROUTED_UNITS`) and routes to the
+/// (wedged) engine.
 const STORM_SECTORS: u64 = 8;
 
 /// Reachable-step bound a seeded power cut is drawn over. A bare lock

@@ -177,11 +177,19 @@ fn dmcrypt_breaker_trips_and_recovers() {
         1,
         FaultAction::AccelWedge { wedge_ns: u64::MAX },
     ));
+    // Bytes of the miss runs the open breaker sent to the CPU.
+    let mut breaker_open_bytes = 0u64;
     for _ in 0..6 {
+        let (before, _) = dm.pipeline_stats().unwrap();
         let mut back = vec![0u8; READ_SECTORS * SECTOR_SIZE];
         dm.read(&mut api, &mut soc, &mut disk, 0, &mut back)
             .expect("read under wedge storm");
         assert_eq!(&back[..], &data[..back.len()]);
+        let (after, _) = dm.pipeline_stats().unwrap();
+        if after.fallback_breaker_open > before.fallback_breaker_open {
+            breaker_open_bytes +=
+                (after.inline_sectors - before.inline_sectors) * SECTOR_SIZE as u64;
+        }
     }
     soc.failpoints.disarm();
     assert_eq!(dm.health_state(), HealthState::Open);
@@ -189,7 +197,16 @@ fn dmcrypt_breaker_trips_and_recovers() {
     assert_eq!(mid.timeouts, u64::from(defaults.trip_failures));
     assert_eq!(mid.trips, 1);
     assert!(mid.abandoned_bytes > 0);
-    assert!(mid.fallback_crypt_bytes > 0);
+    assert!(
+        breaker_open_bytes > 0,
+        "reads after the trip route over the open breaker"
+    );
+    // Every CPU-fallback byte is accounted: the abandoned transfers plus
+    // the miss runs the open breaker vetoed.
+    assert_eq!(
+        mid.fallback_crypt_bytes,
+        mid.abandoned_bytes + breaker_open_bytes
+    );
 
     // Cool down past the probe interval; the configured run of probe
     // successes closes the breaker.
@@ -288,12 +305,34 @@ fn disk_retry_budget_is_bounded() {
     );
 }
 
-/// Zeroize audit on the abandonment path: after a wedge-then-fallback
-/// read the DMA bounce window has been wiped, so a cold-boot dump of
-/// every DRAM byte plus iRAM holds neither the returned plaintext nor
-/// any sector keystream.
+/// Zeroize audit on the abandonment path, for both accelerator callers:
+/// a wedged dm-crypt read and a wedged lifecycle unlock (its clustered
+/// readahead batches abandoned, then re-locked). Afterwards the DMA
+/// bounce window has been wiped, so a cold-boot dump of every DRAM byte
+/// plus iRAM holds neither the plaintext nor any dm-crypt sector
+/// keystream.
 #[test]
 fn wedge_then_fallback_leaves_nothing_for_cold_boot() {
+    let sentinel = b"SENTRY-DEGRADED-PLAINTEXT-SENTINEL......";
+    let wedge = || {
+        FaultPlan::at_rate(
+            "accel.submit",
+            1,
+            FaultAction::AccelWedge { wedge_ns: u64::MAX },
+        )
+    };
+    let scan = |soc: &mut Soc, what: &str| {
+        let mut dump = dump_dram(soc);
+        dump.push((IRAM_BASE, dump_iram(soc)));
+        assert!(
+            search(&dump, &sentinel[..32]).is_empty(),
+            "{what}: plaintext sentinel resident after wedge-then-fallback"
+        );
+        dump
+    };
+
+    // dm-crypt: the read completes via watchdog abandonment + CPU
+    // fallback, leaving an abandoned transfer behind.
     let mut api = CryptoApi::new();
     api.register(Box::new(GenericAesEngine::new(0)));
     api.preferred_mut()
@@ -306,8 +345,6 @@ fn wedge_then_fallback_leaves_nothing_for_cold_boot() {
     dm.enable_pipeline(PipelineConfig::enabled());
     dm.set_key(&mut api, &mut soc, &KEY).unwrap();
     let mut disk = RamDisk::new(256);
-
-    let sentinel = b"SENTRY-DEGRADED-PLAINTEXT-SENTINEL......";
     let data: Vec<u8> = sentinel
         .iter()
         .copied()
@@ -315,14 +352,7 @@ fn wedge_then_fallback_leaves_nothing_for_cold_boot() {
         .take(32 * SECTOR_SIZE)
         .collect();
     dm.write(&mut api, &mut soc, &mut disk, 0, &data).unwrap();
-
-    // Wedge every descriptor: the read completes via watchdog
-    // abandonment + CPU fallback, leaving an abandoned transfer behind.
-    soc.failpoints.arm(FaultPlan::at_rate(
-        "accel.submit",
-        1,
-        FaultAction::AccelWedge { wedge_ns: u64::MAX },
-    ));
+    soc.failpoints.arm(wedge());
     let mut back = vec![0u8; 16 * SECTOR_SIZE];
     dm.read(&mut api, &mut soc, &mut disk, 0, &mut back)
         .expect("wedged read falls back");
@@ -330,11 +360,7 @@ fn wedge_then_fallback_leaves_nothing_for_cold_boot() {
     assert_eq!(&back[..], &data[..back.len()]);
     let health = dm.health_stats(soc.clock.now_ns());
     assert!(health.timeouts >= 1, "the wedge must have been abandoned");
-
-    // Cold-boot scan of the frozen image: the abandoned bounce window
-    // must have been zeroized and no keystream may be resident.
-    let mut dump = dump_dram(&mut soc);
-    dump.push((IRAM_BASE, dump_iram(&soc)));
+    let dump = scan(&mut soc, "dm-crypt");
     let bits = BitslicedAes::new(&KEY).unwrap();
     for sector in 0..256u64 {
         let ks = ctr_keystream(&bits, &DmCrypt::sector_iv(sector), 64);
@@ -343,8 +369,40 @@ fn wedge_then_fallback_leaves_nothing_for_cold_boot() {
             "keystream for sector {sector} resident after abandonment"
         );
     }
+
+    // Lifecycle: every routed readahead batch of the unlock wedges; the
+    // device then locks again, so the only plaintext copies a dump
+    // could find are ones the abandonment path left behind.
+    let config = SentryConfig::tegra3_locked_l2(2)
+        .with_cipher_mode(PageCipherMode::Ctr)
+        .with_pipeline(PipelineConfig::enabled())
+        .with_readahead(ReadaheadConfig::with_cluster(4).sweep_budget(0));
+    let mut sentry = Sentry::new(Kernel::new(Soc::tegra3_small()), config).expect("sentry");
+    let app = sentry.kernel.spawn("vault");
+    sentry.mark_sensitive(app).expect("mark sensitive");
+    let page_len = usize::try_from(PAGE_SIZE).unwrap();
+    let page: Vec<u8> = sentinel.iter().copied().cycle().take(page_len).collect();
+    for vpn in 0..8u64 {
+        sentry
+            .write(app, vpn * PAGE_SIZE, &page)
+            .expect("write page");
+    }
+    sentry.on_lock().expect("lock");
+    sentry.kernel.soc.failpoints.arm(wedge());
+    sentry.on_unlock().expect("unlock");
+    let mut buf = vec![0u8; page_len];
+    for vpn in 0..8u64 {
+        sentry
+            .read(app, vpn * PAGE_SIZE, &mut buf)
+            .expect("read page");
+        assert_eq!(buf, page);
+    }
+    sentry.kernel.soc.failpoints.disarm();
+    sentry.sync_health();
     assert!(
-        search(&dump, &sentinel[..32]).is_empty(),
-        "plaintext sentinel resident after wedge-then-fallback"
+        sentry.stats.health.timeouts >= 1,
+        "a readahead batch must have been abandoned"
     );
+    sentry.on_lock().expect("re-lock");
+    scan(&mut sentry.kernel.soc, "lifecycle");
 }
