@@ -18,7 +18,7 @@
 use crate::error::SentryError;
 use crate::integrity::{IntegrityPlane, QuarantinedPage, VerifyOutcome};
 use crate::onsoc::OnSocStore;
-use crate::txn::{CommitTagger, JournalEntry, TxnJournal, TxnOp, MAX_ENTRIES};
+use crate::txn::{CommitTagger, JournalEntry, TxnJournal, TxnOp};
 use sentry_kernel::fault::PageFault;
 use sentry_kernel::pagetable::Backing;
 use sentry_kernel::Kernel;
@@ -497,47 +497,47 @@ impl Pager {
         // flip is covered by an open journal entry, so a kill anywhere
         // in the sweep is completed by recovery.
         let commit_tags = commit.tags(&ivs, &buf);
-        let mut start = 0usize;
-        while start < n {
-            let end = (start + MAX_ENTRIES).min(n);
-            let entries: Vec<JournalEntry> = (start..end)
-                .map(|i| {
-                    let (pid, vpn, home) = targets[i];
-                    let tag = commit_tags[i];
-                    JournalEntry {
-                        pid,
-                        vpn,
-                        src: self.slots[victims[i]].addr,
-                        frame: home,
-                        epoch,
-                        iv: ivs[i],
-                        tag,
-                        done: false,
-                    }
-                })
-                .collect();
-            txn.open(&mut kernel.soc, TxnOp::Encrypt, epoch, &entries)?;
-            for i in start..end {
+        let entries: Vec<JournalEntry> = (0..n)
+            .map(|i| {
                 let (pid, vpn, home) = targets[i];
+                JournalEntry {
+                    pid,
+                    vpn,
+                    src: self.slots[victims[i]].addr,
+                    frame: home,
+                    epoch,
+                    iv: ivs[i],
+                    tag: commit_tags[i],
+                    done: false,
+                }
+            })
+            .collect();
+        txn.run_chunks(
+            kernel,
+            TxnOp::Encrypt,
+            epoch,
+            &entries,
+            |kernel, i, entry| {
+                let (pid, vpn) = (entry.pid, entry.vpn);
                 kernel.soc.failpoint("pager.evict")?;
-                kernel.soc.mem_write(home, &buf[i * page..(i + 1) * page])?;
+                kernel
+                    .soc
+                    .mem_write(entry.frame, &buf[i * page..(i + 1) * page])?;
                 let proc = kernel.proc_mut(pid)?;
                 let pte = proc
                     .page_table
                     .get_mut(vpn)
                     .ok_or(SentryError::Unresolvable { pid, vpn })?;
-                pte.backing = Backing::Dram(home);
+                pte.backing = Backing::Dram(entry.frame);
                 pte.home_frame = None;
                 pte.encrypted = true;
                 pte.young = false;
                 pte.dirty = false;
                 pte.crypt_epoch = epoch;
                 proc.stats.bytes_encrypted += PAGE_SIZE;
-                txn.mark_done(&mut kernel.soc, i - start)?;
-            }
-            txn.close(&mut kernel.soc)?;
-            start = end;
-        }
+                Ok(())
+            },
+        )?;
 
         // In-memory tail: reclaim every slot at once.
         self.resident.clear();

@@ -17,7 +17,7 @@ use crate::integrity::{IntegrityPlane, QuarantinedPage, VerifyOutcome};
 use crate::keys::VolatileRootKey;
 use crate::onsoc::OnSocStore;
 use crate::pressure::{PressureLevel, PressureStats};
-use crate::txn::{CommitTagger, JournalEntry, TxnJournal, TxnOp, MAX_ENTRIES};
+use crate::txn::{CommitTagger, JournalEntry, TxnJournal, TxnOp};
 use sentry_crypto::parallel::{crypt_batch, BatchReport, Direction, PageJob};
 use sentry_crypto::{
     Aes, CryptoError, FallbackReason, HealthGovernor, HealthStats, PageCipherMode, RetryStats,
@@ -29,6 +29,7 @@ use sentry_kernel::pagetable::{Backing, Pte, Sharing};
 use sentry_kernel::{Kernel, KernelError, Pid};
 use sentry_soc::accel::{AccelPowerState, WaitOutcome};
 use sentry_soc::addr::{IRAM_BASE, IRAM_FIRMWARE_RESERVED, PAGE_SIZE};
+use std::collections::HashSet;
 
 /// Whether the device screen is locked.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -150,14 +151,16 @@ pub struct SweepReport {
     pub residual_pages: usize,
 }
 
-/// One gathered page of fault-cluster or sweeper work: a mapping, the
-/// frame behind it, and the IV its ciphertext was produced under.
+/// One gathered page of decrypt work (eager unlock, fault cluster or
+/// sweeper): a mapping, the frame behind it, and the IV its ciphertext
+/// was produced under together with that IV's epoch.
 #[derive(Clone, Copy)]
 struct ClusterPage {
     pid: Pid,
     vpn: u64,
     frame: u64,
     iv: [u8; 16],
+    epoch: u64,
 }
 
 /// Who owns a bulk-encrypt job's frame — what the publish loop must
@@ -780,28 +783,38 @@ impl Sentry {
         Ok((tags, report))
     }
 
-    /// The IV a frame's ciphertext was produced under: shared frames
+    /// The encrypted mapping `(pid, vpn)` of `frame` as a page for
+    /// [`Sentry::decrypt_gathered`], carrying the IV the frame's
+    /// ciphertext was produced under and that IV's epoch: shared frames
     /// were encrypted under the *first* sharer's mapping identity, at
     /// the epoch stored in the IV owner's PTE; private frames under
     /// their own mapping.
-    fn frame_iv(&self, pid: Pid, vpn: u64, pte: &Pte, frame: u64) -> [u8; 16] {
+    fn cluster_page(&self, pid: Pid, vpn: u64, pte: &Pte, frame: u64) -> ClusterPage {
         let (iv_pid, iv_vpn) = self
             .kernel
             .sharers_of(frame)
             .and_then(|s| s.first().copied())
             .unwrap_or((pid, vpn));
-        let stored_epoch = self
+        let epoch = self
             .kernel
             .procs
             .get(&iv_pid)
             .and_then(|p| p.page_table.get(iv_vpn))
             .map_or(pte.crypt_epoch, |p| p.crypt_epoch);
-        page_iv(iv_pid, iv_vpn, stored_epoch)
+        ClusterPage {
+            pid,
+            vpn,
+            frame,
+            iv: page_iv(iv_pid, iv_vpn, epoch),
+            epoch,
+        }
     }
 
     /// Decrypt a gathered set of encrypted DRAM pages in one dispatch
     /// and flip every mapping of each decrypted frame back to plaintext
-    /// state. Returns the number of frames decrypted.
+    /// state — the one decrypt-commit path behind the eager unlock
+    /// batch, fault clusters and the sweeper. Returns the batch report,
+    /// or `None` when nothing was left to decrypt.
     ///
     /// Coherence rule: the PTE `encrypted` bit is the single source of
     /// truth, re-checked here immediately before the kernel call, and
@@ -809,8 +822,11 @@ impl Sentry {
     /// the sweeper (or two mappings of one shared frame landing in the
     /// same batch) can never decrypt the same frame twice, which under
     /// CBC would turn plaintext into garbage.
-    fn decrypt_gathered(&mut self, pages: &[ClusterPage]) -> Result<usize, SentryError> {
-        let mut jobs: Vec<(u64, [u8; 16])> = Vec::with_capacity(pages.len());
+    fn decrypt_gathered(
+        &mut self,
+        pages: &[ClusterPage],
+    ) -> Result<Option<BatchReport>, SentryError> {
+        let mut frames = HashSet::with_capacity(pages.len());
         let mut live: Vec<ClusterPage> = Vec::with_capacity(pages.len());
         for cp in pages {
             let still_encrypted = self
@@ -819,19 +835,19 @@ impl Sentry {
                 .get(&cp.pid)
                 .and_then(|p| p.page_table.get(cp.vpn))
                 .is_some_and(|pte| pte.encrypted);
-            if !still_encrypted
-                || self.integrity.is_quarantined(cp.frame)
-                || jobs.iter().any(|&(f, _)| f == cp.frame)
+            if still_encrypted
+                && !self.integrity.is_quarantined(cp.frame)
+                && frames.insert(cp.frame)
             {
-                continue;
+                live.push(*cp);
             }
-            jobs.push((cp.frame, cp.iv));
-            live.push(*cp);
         }
-        if jobs.is_empty() {
-            return Ok(0);
+        if live.is_empty() {
+            return Ok(None);
         }
+        let mut jobs: Vec<(u64, [u8; 16])> = live.iter().map(|cp| (cp.frame, cp.iv)).collect();
         let mut buf = self.gather_frames(&jobs)?;
+        let page = PAGE_SIZE as usize;
 
         // MAC-verify the gathered ciphertext against the on-SoC tag
         // store *before* the block cipher runs. Pages that fail (after
@@ -849,108 +865,78 @@ impl Sentry {
                 .iter()
                 .any(|o| matches!(o, VerifyOutcome::Mismatch { .. }))
             {
-                let page = PAGE_SIZE as usize;
-                let mut kept_jobs = Vec::with_capacity(jobs.len());
                 let mut kept_live = Vec::with_capacity(live.len());
                 let mut kept_buf = Vec::with_capacity(buf.len());
-                for (i, outcome) in outcomes.iter().enumerate() {
+                for (i, (outcome, cp)) in outcomes.iter().zip(&live).enumerate() {
                     if let VerifyOutcome::Mismatch { expected, got } = *outcome {
-                        let cp = live[i];
-                        let epoch = self
-                            .kernel
-                            .procs
-                            .get(&cp.pid)
-                            .and_then(|p| p.page_table.get(cp.vpn))
-                            .map_or(self.lock_epoch, |pte| pte.crypt_epoch);
                         let _ = self.integrity.quarantine(QuarantinedPage {
                             pid: cp.pid,
                             vpn: cp.vpn,
                             frame: cp.frame,
-                            epoch,
+                            epoch: cp.epoch,
                             tag_expected: expected,
                             tag_got: got,
                         });
                     } else {
-                        kept_jobs.push(jobs[i]);
-                        kept_live.push(live[i]);
+                        kept_live.push(*cp);
                         kept_buf.extend_from_slice(&buf[i * page..(i + 1) * page]);
                     }
                 }
-                jobs = kept_jobs;
                 live = kept_live;
                 buf = kept_buf;
-                if jobs.is_empty() {
-                    return Ok(0);
+                if live.is_empty() {
+                    return Ok(None);
                 }
+                jobs = live.iter().map(|cp| (cp.frame, cp.iv)).collect();
             }
         }
-        let (tags, _report) = self.route_or_crypt_decrypt(&jobs, &mut buf)?;
+        let (tags, report) = self.route_or_crypt_decrypt(&jobs, &mut buf)?;
 
-        // Publish in journaled chunks. Decrypt order is flip-first: the
-        // PTE's encrypted bit clears *before* the plaintext lands in the
+        // Journaled publish. Decrypt order is flip-first: the PTE's
+        // encrypted bit clears *before* the plaintext lands in the
         // frame, preserving the invariant that a PTE claiming
-        // "encrypted" never fronts a plaintext frame.
-        let page = PAGE_SIZE as usize;
-        let epoch = self.lock_epoch;
-        let mut start = 0usize;
-        while start < jobs.len() {
-            let end = (start + MAX_ENTRIES).min(jobs.len());
-            let entries: Vec<JournalEntry> = (start..end)
-                .map(|i| JournalEntry {
-                    pid: live[i].pid,
-                    vpn: live[i].vpn,
-                    src: jobs[i].0,
-                    frame: jobs[i].0,
-                    epoch,
-                    iv: jobs[i].1,
-                    tag: tags[i],
-                    done: false,
-                })
-                .collect();
-            self.txn
-                .open(&mut self.kernel.soc, TxnOp::Decrypt, epoch, &entries)?;
-            for i in start..end {
-                let cp = live[i];
-                self.kernel.soc.failpoint("txn.flip")?;
+        // "encrypted" never fronts a plaintext frame. Each entry records
+        // the epoch its IV was derived under.
+        let entries: Vec<JournalEntry> = live
+            .iter()
+            .zip(tags)
+            .map(|(cp, tag)| JournalEntry {
+                pid: cp.pid,
+                vpn: cp.vpn,
+                src: cp.frame,
+                frame: cp.frame,
+                epoch: cp.epoch,
+                iv: cp.iv,
+                tag,
+                done: false,
+            })
+            .collect();
+        self.txn.run_chunks(
+            &mut self.kernel,
+            TxnOp::Decrypt,
+            self.lock_epoch,
+            &entries,
+            |kernel, i, entry| {
+                kernel.soc.failpoint("txn.flip")?;
                 // Re-arm every mapping of the frame, not just the
                 // gathered one — a second sharer must not decrypt the
                 // now-plaintext frame again.
-                if let Some(sharers) = self.kernel.sharers_of(cp.frame).map(<[(u32, u64)]>::to_vec)
-                {
-                    for (spid, svpn) in sharers {
-                        if let Some(spte) = self
-                            .kernel
-                            .procs
-                            .get_mut(&spid)
-                            .and_then(|p| p.page_table.get_mut(svpn))
-                        {
-                            spte.encrypted = false;
-                            spte.young = true;
-                        }
-                    }
-                }
-                if let Some(proc) = self.kernel.procs.get_mut(&cp.pid) {
-                    if let Some(pte) = proc.page_table.get_mut(cp.vpn) {
-                        pte.encrypted = false;
-                        pte.young = true;
-                    }
+                flip_mappings_plaintext(kernel, entry);
+                if let Some(proc) = kernel.procs.get_mut(&entry.pid) {
                     proc.stats.bytes_decrypted += PAGE_SIZE;
                 }
-                self.kernel.soc.failpoint("txn.publish")?;
-                self.kernel
+                kernel.soc.failpoint("txn.publish")?;
+                kernel
                     .soc
-                    .mem_write(jobs[i].0, &buf[i * page..(i + 1) * page])?;
+                    .mem_write(entry.frame, &buf[i * page..(i + 1) * page])?;
                 // The frame is plaintext now: retire its tag before the
                 // entry is marked done, so a kill in between re-runs the
                 // (idempotent) retire rather than leaving a stale tag
                 // that would poison the frame's next encrypt cycle.
-                self.integrity.retire_tag(&mut self.kernel.soc, jobs[i].0)?;
-                self.txn.mark_done(&mut self.kernel.soc, i - start)?;
-            }
-            self.txn.close(&mut self.kernel.soc)?;
-            start = end;
-        }
-        Ok(jobs.len())
+                self.integrity.retire_tag(&mut kernel.soc, entry.frame)
+            },
+        )?;
+        Ok(Some(report))
     }
 
     /// Run [`Sentry::decrypt_gathered`] under the bounded-retry policy
@@ -961,6 +947,7 @@ impl Sentry {
     /// [`SentryError::RetriesExhausted`] — the fault is persistent and
     /// retrying forever would spin. Non-transient errors (power loss,
     /// integrity violations, real memory errors) propagate immediately.
+    /// Returns the number of frames decrypted.
     fn decrypt_gathered_with_retry(
         &mut self,
         op: &'static str,
@@ -983,7 +970,7 @@ impl Sentry {
                     if other.is_ok() && attempts > 1 {
                         self.stats.crypt.recovered += 1;
                     }
-                    return other;
+                    return other.map(|report| report.map_or(0, |r| r.pages));
                 }
             }
         }
@@ -1076,13 +1063,7 @@ impl Sentry {
                 .page_table
                 .get(vpn)
                 .expect("walked above");
-            let iv = self.frame_iv(pid, vpn, &pte, frame);
-            gathered.push(ClusterPage {
-                pid,
-                vpn,
-                frame,
-                iv,
-            });
+            gathered.push(self.cluster_page(pid, vpn, &pte, frame));
         }
         let next_cursor = gathered.last().map(|g| (g.pid, g.vpn + 1));
         let pages = self.decrypt_gathered_with_retry("sweep", &gathered)?;
@@ -1302,39 +1283,42 @@ impl Sentry {
         // *then* the PTE flips — a kill in between leaves a PTE that
         // still says plaintext over a ciphertext frame, which recovery
         // (tag comparison) completes by flipping.
+        let entries: Vec<JournalEntry> = jobs
+            .iter()
+            .zip(&owners)
+            .zip(tags)
+            .map(|((&(frame, iv), owner), tag)| {
+                let (pid, vpn) = match owner {
+                    JobOwner::Private(pid, vpn) => (*pid, *vpn),
+                    JobOwner::Shared(sharers) => sharers[0],
+                };
+                JournalEntry {
+                    pid,
+                    vpn,
+                    src: frame,
+                    frame,
+                    epoch,
+                    iv,
+                    tag,
+                    done: false,
+                }
+            })
+            .collect();
         let page = PAGE_SIZE as usize;
-        let mut start = 0usize;
-        while start < jobs.len() {
-            let end = (start + MAX_ENTRIES).min(jobs.len());
-            let entries: Vec<JournalEntry> = (start..end)
-                .map(|i| {
-                    let (pid, vpn) = match &owners[i] {
-                        JobOwner::Private(pid, vpn) => (*pid, *vpn),
-                        JobOwner::Shared(sharers) => sharers[0],
-                    };
-                    JournalEntry {
-                        pid,
-                        vpn,
-                        src: jobs[i].0,
-                        frame: jobs[i].0,
-                        epoch,
-                        iv: jobs[i].1,
-                        tag: tags[i],
-                        done: false,
-                    }
-                })
-                .collect();
-            self.txn
-                .open(&mut self.kernel.soc, TxnOp::Encrypt, epoch, &entries)?;
-            for i in start..end {
-                self.kernel.soc.failpoint("txn.publish")?;
-                self.kernel
+        self.txn.run_chunks(
+            &mut self.kernel,
+            TxnOp::Encrypt,
+            epoch,
+            &entries,
+            |kernel, i, entry| {
+                kernel.soc.failpoint("txn.publish")?;
+                kernel
                     .soc
-                    .mem_write(jobs[i].0, &buf[i * page..(i + 1) * page])?;
-                self.kernel.soc.failpoint("txn.flip")?;
+                    .mem_write(entry.frame, &buf[i * page..(i + 1) * page])?;
+                kernel.soc.failpoint("txn.flip")?;
                 match &owners[i] {
                     JobOwner::Private(pid, vpn) => {
-                        let proc = self.kernel.proc_mut(*pid)?;
+                        let proc = kernel.proc_mut(*pid)?;
                         let pte = proc.page_table.get_mut(*vpn).expect("walked above");
                         pte.encrypted = true;
                         pte.young = false;
@@ -1342,46 +1326,16 @@ impl Sentry {
                         pte.crypt_epoch = epoch;
                         proc.stats.bytes_encrypted += PAGE_SIZE;
                     }
-                    JobOwner::Shared(sharers) => {
-                        for &(pid, vpn) in sharers {
-                            if let Some(pte) = self
-                                .kernel
-                                .procs
-                                .get_mut(&pid)
-                                .and_then(|p| p.page_table.get_mut(vpn))
-                            {
-                                pte.encrypted = true;
-                                pte.young = false;
-                                pte.dirty = false;
-                                pte.sharing = Sharing::SharedSensitiveOnly;
-                                pte.crypt_epoch = epoch;
-                            }
-                        }
-                    }
+                    JobOwner::Shared(sharers) => arm_shared(kernel, sharers, epoch),
                 }
-                self.txn.mark_done(&mut self.kernel.soc, i - start)?;
-            }
-            self.txn.close(&mut self.kernel.soc)?;
-            start = end;
-        }
+                Ok(())
+            },
+        )?;
 
         // Re-arm-only shared frames (still ciphertext from an earlier
         // cycle): idempotent PTE flips, journal-free.
         for (sharers, effective_epoch) in shared_rearms {
-            for &(pid, vpn) in &sharers {
-                if let Some(pte) = self
-                    .kernel
-                    .procs
-                    .get_mut(&pid)
-                    .and_then(|p| p.page_table.get_mut(vpn))
-                {
-                    pte.encrypted = true;
-                    pte.young = false;
-                    pte.dirty = false;
-                    pte.sharing = Sharing::SharedSensitiveOnly;
-                    pte.crypt_epoch = effective_epoch;
-                }
-            }
+            arm_shared(&mut self.kernel, &sharers, effective_epoch);
         }
 
         // Atomic tail: only now does the transition commit.
@@ -1403,6 +1357,13 @@ impl Sentry {
     /// address and never fault, §7). Everything else decrypts lazily on
     /// first touch.
     ///
+    /// The eager batch runs through the same decrypt-commit path as
+    /// fault clusters and the sweeper (`decrypt_gathered`): a shared
+    /// frame decrypts once, under its IV owner's IV, and every sharer
+    /// flips; pages failing their MAC are quarantined out of the batch.
+    /// Unlike those paths it is not retried on a transient crypt fault;
+    /// the error surfaces to the caller.
+    ///
     /// # Errors
     ///
     /// [`SentryError::WrongState`] if already unlocked; propagated
@@ -1420,135 +1381,24 @@ impl Sentry {
         // everything after it run at Awake accelerator throughput.
         self.kernel.soc.accel.state = AccelPowerState::Awake;
         let t0 = self.kernel.soc.clock.now_ns();
-        // DMA regions are decrypted eagerly and batched like the lock
-        // path: collect every (frame, iv) job first, dispatch once.
-        // Un-parking is idempotent, so a killed-and-retried unlock
-        // converges.
-        let mut jobs: Vec<(u64, [u8; 16])> = Vec::new();
-        let mut updates: Vec<(Pid, u64, u64)> = Vec::new();
+        // DMA regions are decrypted eagerly in one batch. Quarantined
+        // frames are skipped and stay encrypted: the violation surfaces
+        // on explicit access, not here — the unlock itself must keep
+        // working for every healthy page. Un-parking is idempotent, so a
+        // killed-and-retried unlock converges.
+        let mut dma_pages: Vec<ClusterPage> = Vec::new();
         for pid in self.sensitive_pids() {
             self.kernel.proc_mut(pid)?.schedulable = true;
-            let dma_pages: Vec<(u64, u64, u64)> = self
-                .kernel
-                .proc(pid)?
-                .page_table
-                .iter()
-                .filter_map(|(vpn, pte)| match pte.backing {
+            for (vpn, pte) in self.kernel.proc(pid)?.page_table.iter() {
+                match pte.backing {
                     Backing::Dram(frame) if pte.encrypted && pte.dma_region => {
-                        Some((vpn, frame, pte.crypt_epoch))
+                        dma_pages.push(self.cluster_page(pid, vpn, pte, frame));
                     }
-                    _ => None,
-                })
-                .collect();
-            for (vpn, frame, stored_epoch) in dma_pages {
-                // Quarantined DMA frames stay encrypted; the violation
-                // surfaces on explicit access, not here — the unlock
-                // itself must keep working for every healthy page.
-                if self.integrity.is_quarantined(frame) {
-                    continue;
+                    _ => {}
                 }
-                jobs.push((frame, page_iv(pid, vpn, stored_epoch)));
-                updates.push((pid, vpn, stored_epoch));
             }
         }
-
-        // Gather, MAC-verify, then decrypt — the same verify-before-
-        // cipher discipline as `decrypt_gathered`, with failed pages
-        // quarantined out of the batch.
-        let mut buf = self.gather_frames(&jobs)?;
-        if self.integrity.enabled() && !jobs.is_empty() {
-            let outcomes = self.integrity.verify_frames(
-                &mut self.kernel.soc,
-                &mut self.store,
-                &jobs,
-                &mut buf,
-            )?;
-            if outcomes
-                .iter()
-                .any(|o| matches!(o, VerifyOutcome::Mismatch { .. }))
-            {
-                let page = PAGE_SIZE as usize;
-                let mut kept_jobs = Vec::with_capacity(jobs.len());
-                let mut kept_updates = Vec::with_capacity(updates.len());
-                let mut kept_buf = Vec::with_capacity(buf.len());
-                for (i, outcome) in outcomes.iter().enumerate() {
-                    if let VerifyOutcome::Mismatch { expected, got } = *outcome {
-                        let (pid, vpn, epoch) = updates[i];
-                        let _ = self.integrity.quarantine(QuarantinedPage {
-                            pid,
-                            vpn,
-                            frame: jobs[i].0,
-                            epoch,
-                            tag_expected: expected,
-                            tag_got: got,
-                        });
-                    } else {
-                        kept_jobs.push(jobs[i]);
-                        kept_updates.push(updates[i]);
-                        kept_buf.extend_from_slice(&buf[i * page..(i + 1) * page]);
-                    }
-                }
-                jobs = kept_jobs;
-                updates = kept_updates;
-                buf = kept_buf;
-            }
-        }
-        let (tags, report) = if jobs.is_empty() {
-            (
-                Vec::new(),
-                BatchReport {
-                    pages: 0,
-                    bytes: 0,
-                    workers_used: 1,
-                    per_worker_bytes: vec![0],
-                    sequential_fallback: true,
-                },
-            )
-        } else {
-            self.route_or_crypt_decrypt(&jobs, &mut buf)?
-        };
-
-        // Journaled publish, flip-first (see `decrypt_gathered`).
-        let page = PAGE_SIZE as usize;
-        let mut start = 0usize;
-        while start < jobs.len() {
-            let end = (start + MAX_ENTRIES).min(jobs.len());
-            let entries: Vec<JournalEntry> = (start..end)
-                .map(|i| JournalEntry {
-                    pid: updates[i].0,
-                    vpn: updates[i].1,
-                    src: jobs[i].0,
-                    frame: jobs[i].0,
-                    epoch: updates[i].2,
-                    iv: jobs[i].1,
-                    tag: tags[i],
-                    done: false,
-                })
-                .collect();
-            self.txn.open(
-                &mut self.kernel.soc,
-                TxnOp::Decrypt,
-                self.lock_epoch,
-                &entries,
-            )?;
-            for i in start..end {
-                let (pid, vpn, _) = updates[i];
-                self.kernel.soc.failpoint("txn.flip")?;
-                let proc = self.kernel.proc_mut(pid)?;
-                let pte = proc.page_table.get_mut(vpn).expect("walked above");
-                pte.encrypted = false;
-                pte.young = true;
-                proc.stats.bytes_decrypted += PAGE_SIZE;
-                self.kernel.soc.failpoint("txn.publish")?;
-                self.kernel
-                    .soc
-                    .mem_write(jobs[i].0, &buf[i * page..(i + 1) * page])?;
-                self.integrity.retire_tag(&mut self.kernel.soc, jobs[i].0)?;
-                self.txn.mark_done(&mut self.kernel.soc, i - start)?;
-            }
-            self.txn.close(&mut self.kernel.soc)?;
-            start = end;
-        }
+        let report = self.decrypt_gathered(&dma_pages)?;
 
         // Atomic tail.
         self.state = DeviceState::Unlocked;
@@ -1557,8 +1407,8 @@ impl Sentry {
         self.sweep_cursor = None;
         Ok(UnlockReport {
             duration_ns: self.kernel.soc.clock.now_ns() - t0,
-            eager_bytes_decrypted: report.bytes,
-            workers_used: report.workers_used,
+            eager_bytes_decrypted: report.as_ref().map_or(0, |r| r.bytes),
+            workers_used: report.map_or(1, |r| r.workers_used),
         })
     }
 
@@ -1648,13 +1498,7 @@ impl Sentry {
                                 }
                                 _ => continue,
                             };
-                            let iv = self.frame_iv(fault.pid, vpn, &cand, frame);
-                            gathered.push(ClusterPage {
-                                pid: fault.pid,
-                                vpn,
-                                frame,
-                                iv,
-                            });
+                            gathered.push(self.cluster_page(fault.pid, vpn, &cand, frame));
                         }
                         let decrypted =
                             self.decrypt_gathered_with_retry("handle_fault", &gathered)?;
@@ -1955,11 +1799,7 @@ impl Sentry {
             // frame quarantined mid-eviction is healed by this replay.
             self.integrity.release(entry.frame);
         }
-        let mappings = self
-            .kernel
-            .sharers_of(entry.frame)
-            .map(<[(u32, u64)]>::to_vec)
-            .unwrap_or_else(|| vec![(entry.pid, entry.vpn)]);
+        let mappings = mappings_of(&self.kernel, entry.frame, entry.pid, entry.vpn);
         let shared = mappings.len() > 1;
         for (pid, vpn) in mappings {
             if let Some(pte) = self
@@ -2046,7 +1886,7 @@ impl Sentry {
                         // back to encrypted: every later access must
                         // fault into the quarantine check, never read
                         // the frame raw.
-                        self.flip_mappings_encrypted(entry);
+                        flip_mappings_encrypted(&mut self.kernel, entry);
                         return Ok(());
                     }
                     // Plaintext already landed: only the flip remains.
@@ -2055,7 +1895,7 @@ impl Sentry {
             }
             self.integrity
                 .retire_tag(&mut self.kernel.soc, entry.frame)?;
-            self.flip_mappings_plaintext(entry);
+            flip_mappings_plaintext(&mut self.kernel, entry);
             return Ok(());
         }
         // Legacy path (plane disabled, or a frame encrypted before it
@@ -2076,50 +1916,64 @@ impl Sentry {
             }
             self.kernel.soc.mem_write(entry.frame, &page)?;
         }
-        self.flip_mappings_plaintext(entry);
+        flip_mappings_plaintext(&mut self.kernel, entry);
         Ok(())
     }
+}
 
-    /// Re-arm every mapping of a quarantined frame as encrypted at the
-    /// journaled epoch, so accesses fault and hit the quarantine check.
-    fn flip_mappings_encrypted(&mut self, entry: &JournalEntry) {
-        let mappings = self
-            .kernel
-            .sharers_of(entry.frame)
-            .map(<[(u32, u64)]>::to_vec)
-            .unwrap_or_else(|| vec![(entry.pid, entry.vpn)]);
-        for (pid, vpn) in mappings {
-            if let Some(pte) = self
-                .kernel
-                .procs
-                .get_mut(&pid)
-                .and_then(|p| p.page_table.get_mut(vpn))
-            {
-                pte.encrypted = true;
-                pte.young = false;
-                pte.crypt_epoch = entry.epoch;
-            }
+/// Every mapping of `frame`: all its sharers when it is shared, else
+/// just `(pid, vpn)`.
+fn mappings_of(kernel: &Kernel, frame: u64, pid: Pid, vpn: u64) -> Vec<(Pid, u64)> {
+    kernel
+        .sharers_of(frame)
+        .map_or_else(|| vec![(pid, vpn)], <[(Pid, u64)]>::to_vec)
+}
+
+/// Arm every sharer of a frame shared among sensitive processes as
+/// ciphertext encrypted at `epoch` (idempotent).
+fn arm_shared(kernel: &mut Kernel, sharers: &[(Pid, u64)], epoch: u64) {
+    for &(pid, vpn) in sharers {
+        if let Some(pte) = kernel
+            .procs
+            .get_mut(&pid)
+            .and_then(|p| p.page_table.get_mut(vpn))
+        {
+            pte.encrypted = true;
+            pte.young = false;
+            pte.dirty = false;
+            pte.sharing = Sharing::SharedSensitiveOnly;
+            pte.crypt_epoch = epoch;
         }
     }
+}
 
-    /// Flip every mapping of a recovered decrypt entry's frame back to
-    /// plaintext state (idempotent).
-    fn flip_mappings_plaintext(&mut self, entry: &JournalEntry) {
-        let mappings = self
-            .kernel
-            .sharers_of(entry.frame)
-            .map(<[(u32, u64)]>::to_vec)
-            .unwrap_or_else(|| vec![(entry.pid, entry.vpn)]);
-        for (pid, vpn) in mappings {
-            if let Some(pte) = self
-                .kernel
-                .procs
-                .get_mut(&pid)
-                .and_then(|p| p.page_table.get_mut(vpn))
-            {
-                pte.encrypted = false;
-                pte.young = true;
-            }
+/// Re-arm every mapping of a quarantined frame as encrypted at the
+/// journaled epoch, so accesses fault and hit the quarantine check.
+fn flip_mappings_encrypted(kernel: &mut Kernel, entry: &JournalEntry) {
+    for (pid, vpn) in mappings_of(kernel, entry.frame, entry.pid, entry.vpn) {
+        if let Some(pte) = kernel
+            .procs
+            .get_mut(&pid)
+            .and_then(|p| p.page_table.get_mut(vpn))
+        {
+            pte.encrypted = true;
+            pte.young = false;
+            pte.crypt_epoch = entry.epoch;
+        }
+    }
+}
+
+/// Flip every mapping of a decrypt entry's frame to plaintext state
+/// (idempotent): the live publish step and recovery's roll-forward.
+fn flip_mappings_plaintext(kernel: &mut Kernel, entry: &JournalEntry) {
+    for (pid, vpn) in mappings_of(kernel, entry.frame, entry.pid, entry.vpn) {
+        if let Some(pte) = kernel
+            .procs
+            .get_mut(&pid)
+            .and_then(|p| p.page_table.get_mut(vpn))
+        {
+            pte.encrypted = false;
+            pte.young = true;
         }
     }
 }

@@ -14,6 +14,13 @@
 //! 4. close the journal, then commit the in-memory tail (epoch, device
 //!    state).
 //!
+//! A transition larger than one journal page runs as a sequence of
+//! [`MAX_ENTRIES`]-entry chunks, each opened, stepped and closed in
+//! turn. That protocol lives here alone: [`TxnJournal::run_chunks`]
+//! takes the whole entry list and a per-page step, and every multi-page
+//! transition (lock, eviction sweep, and the shared decrypt-commit path
+//! behind unlock, fault clusters and the sweeper) goes through it.
+//!
 //! The journal lives in **iRAM** — on-SoC, so it dies with power
 //! exactly like the volatile root key. That placement is what makes it
 //! safe: after a real power loss there is no key, no journal, and no
@@ -41,6 +48,7 @@
 
 use crate::error::SentryError;
 use sentry_crypto::{Aes, Cmac, PageCipherMode};
+use sentry_kernel::Kernel;
 use sentry_soc::{Soc, PAGE_SIZE};
 
 /// Journal magic: a valid, open journal starts with these bytes.
@@ -95,7 +103,10 @@ pub struct JournalEntry {
     /// The DRAM frame being published to.
     pub frame: u64,
     /// The crypt epoch the IV was derived under — what the PTE's
-    /// `crypt_epoch` must read once the entry commits.
+    /// `crypt_epoch` must read once the entry commits. For a decrypt
+    /// this is the epoch the page was *encrypted* at, which can be older
+    /// than the current lock epoch when a page sat untouched through
+    /// several lock cycles.
     pub epoch: u64,
     /// The per-page IV (CBC IV, XTS tweak, or CTR counter base).
     pub iv: [u8; 16],
@@ -314,6 +325,35 @@ impl TxnJournal {
         Ok(())
     }
 
+    /// Run a whole transition through the journal: `entries` are split
+    /// into chunks of at most [`MAX_ENTRIES`]; each chunk is opened,
+    /// `step` runs on each of its entries in order (given the entry's
+    /// index into `entries`) and marks it done, then the chunk closes.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first error from `step` at once, leaving its chunk
+    /// open for [`crate::Sentry::recover`] to roll forward; propagates
+    /// iRAM write failures.
+    pub fn run_chunks(
+        &mut self,
+        kernel: &mut Kernel,
+        op: TxnOp,
+        target_epoch: u64,
+        entries: &[JournalEntry],
+        mut step: impl FnMut(&mut Kernel, usize, &JournalEntry) -> Result<(), SentryError>,
+    ) -> Result<(), SentryError> {
+        for (c, chunk) in entries.chunks(MAX_ENTRIES).enumerate() {
+            self.open(&mut kernel.soc, op, target_epoch, chunk)?;
+            for (j, entry) in chunk.iter().enumerate() {
+                step(kernel, c * MAX_ENTRIES + j, entry)?;
+                self.mark_done(&mut kernel.soc, j)?;
+            }
+            self.close(&mut kernel.soc)?;
+        }
+        Ok(())
+    }
+
     /// Read the journal back from iRAM: `None` when idle (no magic, or
     /// an unparseable header — e.g. zeroed by a boot-ROM power cycle).
     ///
@@ -425,6 +465,48 @@ mod tests {
         let (_, _, read) = j.load(&mut soc).unwrap().unwrap();
         assert_eq!(read.len(), MAX_ENTRIES);
         assert_eq!(read.last().unwrap().iv, [(MAX_ENTRIES - 1) as u8; 16]);
+    }
+
+    #[test]
+    fn run_chunks_steps_every_entry_and_leaves_a_failed_chunk_open() {
+        let mut kernel = Kernel::new(Soc::tegra3_small());
+        let mut j = TxnJournal::new(journal_page());
+        let entries: Vec<JournalEntry> = (0..(MAX_ENTRIES + 3) as u8).map(entry).collect();
+        let mut stepped = Vec::new();
+        j.run_chunks(&mut kernel, TxnOp::Encrypt, 1, &entries, |_, i, e| {
+            assert_eq!(e, &entries[i]);
+            stepped.push(i);
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(stepped, (0..entries.len()).collect::<Vec<_>>());
+        assert!(!j.in_flight());
+        assert_eq!(j.load(&mut kernel.soc).unwrap(), None);
+
+        // A failing step in the second chunk returns at once: that chunk
+        // stays open with only the entries before the failure done.
+        let fail_at = MAX_ENTRIES + 1;
+        let err = j
+            .run_chunks(&mut kernel, TxnOp::Decrypt, 2, &entries, |_, i, _| {
+                if i == fail_at {
+                    Err(SentryError::Unresolvable { pid: 0, vpn: 0 })
+                } else {
+                    Ok(())
+                }
+            })
+            .unwrap_err();
+        assert!(matches!(err, SentryError::Unresolvable { .. }));
+        assert!(j.in_flight());
+        let (op, epoch, read) = j.load(&mut kernel.soc).unwrap().expect("chunk left open");
+        assert_eq!((op, epoch, read.len()), (TxnOp::Decrypt, 2, 3));
+        assert_eq!(
+            read[0],
+            JournalEntry {
+                done: true,
+                ..entries[MAX_ENTRIES].clone()
+            }
+        );
+        assert!(!read[1].done && !read[2].done);
     }
 
     #[test]

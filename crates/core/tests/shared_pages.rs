@@ -126,3 +126,49 @@ fn writes_through_one_mapping_are_visible_through_the_other() {
     s.read(a, 0, &mut buf).unwrap();
     assert_eq!(&buf, b"after!");
 }
+
+#[test]
+fn dma_page_shared_between_sensitive_apps_decrypts_once_on_unlock() {
+    // `map_shared` copies the owner's PTE, DMA bit included, so the
+    // eager unlock batch sees the frame through both mappings. It must
+    // decrypt the frame once, under the IV it was encrypted with, and
+    // flip both mappings — no double decrypt with the integrity plane
+    // off, no false quarantine with it on.
+    for integrity in [true, false] {
+        let config = SentryConfig::tegra3_locked_l2(2);
+        let config = if integrity {
+            config
+        } else {
+            config.without_integrity()
+        };
+        let mut s = Sentry::new(Kernel::new(Soc::tegra3_small()), config).unwrap();
+        let a = s.kernel.spawn("camera");
+        let b = s.kernel.spawn("gallery");
+        s.mark_sensitive(a).unwrap();
+        s.mark_sensitive(b).unwrap();
+        s.write(a, 0, SHARED_DATA).unwrap();
+        s.kernel
+            .proc_mut(a)
+            .unwrap()
+            .page_table
+            .get_mut(0)
+            .unwrap()
+            .dma_region = true;
+        s.kernel.map_shared(a, 0, b, 4).unwrap();
+
+        assert_eq!(s.on_lock().unwrap().bytes_encrypted, PAGE_SIZE);
+        let report = s.on_unlock().unwrap();
+        assert_eq!(
+            report.eager_bytes_decrypted, PAGE_SIZE,
+            "integrity {integrity}: the shared DMA frame decrypts once"
+        );
+
+        let mut via_a = vec![0u8; SHARED_DATA.len()];
+        s.read(a, 0, &mut via_a).unwrap();
+        assert_eq!(via_a, SHARED_DATA, "integrity {integrity}");
+        let mut via_b = vec![0u8; SHARED_DATA.len()];
+        s.read(b, 4 * PAGE_SIZE, &mut via_b).unwrap();
+        assert_eq!(via_b, SHARED_DATA, "integrity {integrity}");
+        assert_eq!(s.integrity.quarantined_count(), 0, "integrity {integrity}");
+    }
+}

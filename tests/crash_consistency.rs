@@ -16,7 +16,9 @@
 use sentry::attacks::faultmatrix::{
     record, run_cell, run_decay_cell, run_matrix, EndState, Scenario, SECRET,
 };
+use sentry::attacks::tamper::flip_bit;
 use sentry::core::{RecoveryReport, SentryError};
+use sentry::kernel::pagetable::Backing;
 use sentry::soc::dram::PowerEvent;
 use sentry::soc::failpoint::{FaultAction, FaultPlan};
 
@@ -379,6 +381,47 @@ fn injected_extent_error_in_sequential_engine_is_retried_transparently() {
     let mut buf = [0u8; 16];
     s.read(actors.vault, 0, &mut buf).unwrap();
     assert_eq!(&buf, SECRET);
+}
+
+#[test]
+fn decrypt_journal_records_the_epoch_the_iv_was_derived_under() {
+    let scn = Scenario::tegra3(0xE90C);
+    let (mut s, actors) = scn.build().unwrap();
+    // Two cycles without touching vpn 3: it stays ciphertext from the
+    // first lock (crypt epoch 1) while the lock epoch moves on to 2.
+    for _ in 0..2 {
+        s.on_lock().unwrap();
+        s.on_unlock().unwrap();
+    }
+    let pte = |s: &sentry::core::Sentry| *s.kernel.procs[&actors.vault].page_table.get(3).unwrap();
+    assert!(pte(&s).encrypted);
+    assert_eq!(pte(&s).crypt_epoch, 1);
+    let Backing::Dram(frame) = pte(&s).backing else {
+        panic!("vpn 3 is DRAM-backed");
+    };
+
+    // Kill the demand fault at its first publish, then tamper with the
+    // in-flight ciphertext: recovery must quarantine the frame and
+    // re-arm its PTE at the epoch the IV came from.
+    s.kernel.soc.failpoints.arm(FaultPlan::at_site(
+        "txn.publish",
+        0,
+        FaultAction::PowerCut { decay: None },
+    ));
+    assert!(s
+        .touch_pages(actors.vault, &[3])
+        .unwrap_err()
+        .is_power_loss());
+    s.kernel.soc.failpoints.disarm();
+    flip_bit(&mut s.kernel.soc, frame, 99, 4);
+    s.recover().unwrap();
+
+    let quarantined = s.integrity.quarantined();
+    assert_eq!(quarantined.len(), 1);
+    assert_eq!(quarantined[0].frame, frame);
+    assert_eq!(quarantined[0].epoch, 1);
+    assert!(pte(&s).encrypted);
+    assert_eq!(pte(&s).crypt_epoch, 1);
 }
 
 #[test]
