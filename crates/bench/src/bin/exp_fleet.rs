@@ -96,9 +96,9 @@ fn main() {
                 r.events.to_string(),
                 format!("{:.0}", r.events_per_sim_sec()),
                 format!("{:.0}", r.events_per_host_sec()),
-                format!("{:.1}", r.unlock_hist.percentile(0.50) as f64 / 1000.0),
-                format!("{:.1}", r.unlock_hist.percentile(0.95) as f64 / 1000.0),
-                format!("{:.1}", r.unlock_hist.percentile(0.99) as f64 / 1000.0),
+                format!("{:.1}", r.unlock_percentile(0.50) as f64 / 1000.0),
+                format!("{:.1}", r.unlock_percentile(0.95) as f64 / 1000.0),
+                format!("{:.1}", r.unlock_percentile(0.99) as f64 / 1000.0),
                 r.recoveries.to_string(),
                 r.quarantined_pages.to_string(),
                 r.silent_corruptions.to_string(),
@@ -297,11 +297,11 @@ fn main() {
                 r.events,
                 r.events_per_sim_sec(),
                 r.events_per_host_sec(),
-                r.unlock_hist.percentile(0.50),
-                r.unlock_hist.percentile(0.95),
-                r.unlock_hist.percentile(0.99),
-                r.unlock_hist.mean(),
-                r.unlock_hist.max(),
+                r.unlock_percentile(0.50),
+                r.unlock_percentile(0.95),
+                r.unlock_percentile(0.99),
+                r.unlock_mean_ns(),
+                r.unlock_max_ns(),
                 r.unlocks,
                 r.locks,
                 r.power_cuts_fired,
@@ -408,6 +408,14 @@ fn main() {
                     eprintln!(
                         "FAIL [{devices} devices]: degradation columns differ between \
                          {} and {} shards — health accounting is shard-dependent",
+                        pair[0].shards, pair[1].shards
+                    );
+                    failed = true;
+                }
+                if pair[0].report.unlock_ns != pair[1].report.unlock_ns {
+                    eprintln!(
+                        "FAIL [{devices} devices]: unlock latency samples differ between \
+                         {} and {} shards — latency accounting is shard-dependent",
                         pair[0].shards, pair[1].shards
                     );
                     failed = true;

@@ -26,6 +26,7 @@ use sentry_core::config::{ParallelConfig, ReadaheadConfig};
 use sentry_core::{Sentry, SentryConfig};
 use sentry_kernel::Kernel;
 use sentry_soc::Soc;
+use sentry_workloads::nearest_rank;
 
 const SET_PAGES: usize = 256;
 const PAGE: usize = 4096;
@@ -123,7 +124,7 @@ fn touch_sweep(cluster: usize) -> TouchPoint {
         cluster,
         faults: s.stats.ondemand_faults,
         mean_ns: total as f64 / costs.len() as f64,
-        p99_ns: costs[costs.len() * 99 / 100],
+        p99_ns: nearest_rank(&costs, 0.99),
         max_ns: *costs.last().expect("non-empty"),
         speedup: 0.0,
     }

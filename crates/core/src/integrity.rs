@@ -48,6 +48,11 @@ pub const TAG_BYTES: usize = 8;
 /// Tags per 4 KiB tag-store page.
 pub const TAGS_PER_PAGE: u64 = PAGE_SIZE / TAG_BYTES as u64;
 
+/// Extra frame re-reads attempted when a MAC check fails, to
+/// disambiguate a transient bus/readout glitch from real tampering
+/// before quarantining the page.
+pub const MAX_VERIFY_RETRIES: u32 = 2;
+
 /// Cumulative integrity-plane statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IntegrityStats {
@@ -147,7 +152,6 @@ struct TagPage {
 /// the on-SoC tag store, and the quarantine set.
 #[derive(Debug)]
 pub struct IntegrityPlane {
-    config: IntegrityConfig,
     backend: OnSocBackend,
     /// CMAC under a domain-separated key derived from the volatile root
     /// key (`E_rootkey("SENTRY-INTEGRITY")`); `None` when disabled.
@@ -234,7 +238,6 @@ impl IntegrityPlane {
             (None, None)
         };
         Ok(IntegrityPlane {
-            config,
             backend,
             cmac,
             tag_pages: Vec::new(),
@@ -259,12 +262,6 @@ impl IntegrityPlane {
     #[must_use]
     pub fn enabled(&self) -> bool {
         self.cmac.is_some()
-    }
-
-    /// The configured bounded-retry caps.
-    #[must_use]
-    pub fn config(&self) -> IntegrityConfig {
-        self.config
     }
 
     /// Number of on-SoC pages the tag store currently occupies.
@@ -776,7 +773,7 @@ impl IntegrityPlane {
     /// Verify a batch of gathered ciphertext pages against the tag
     /// store, before any of them is decrypted. On a mismatch the frame
     /// is re-read (into the caller's buffer — a transient readout
-    /// glitch heals here) up to `max_verify_retries` times; a page that
+    /// glitch heals here) up to [`MAX_VERIFY_RETRIES`] times; a page that
     /// still fails reports [`VerifyOutcome::Mismatch`] and the caller
     /// quarantines it.
     ///
@@ -823,7 +820,7 @@ impl IntegrityPlane {
             let mut expected = [0u8; TAG_BYTES];
             soc.mem_read(self.slot_addr(slot), &mut expected)?;
             if got != expected {
-                for _ in 0..self.config.max_verify_retries {
+                for _ in 0..MAX_VERIFY_RETRIES {
                     self.stats.verify.attempts += 1;
                     soc.mem_read(*frame, chunk)?;
                     Self::charge_mac(soc, 1);

@@ -31,6 +31,11 @@ use sentry_soc::accel::{AccelPowerState, WaitOutcome};
 use sentry_soc::addr::{IRAM_BASE, IRAM_FIRMWARE_RESERVED, PAGE_SIZE};
 use std::collections::HashSet;
 
+/// Attempt cap (initial try + retries) for transient crypt/dispatch
+/// faults on the fault-readahead and sweeper paths; exceeding it yields
+/// a typed [`SentryError::RetriesExhausted`] instead of retrying forever.
+pub const MAX_CRYPT_RETRIES: u32 = 3;
+
 /// Whether the device screen is locked.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DeviceState {
@@ -942,7 +947,7 @@ impl Sentry {
     /// Run [`Sentry::decrypt_gathered`] under the bounded-retry policy
     /// for *transient* faults: an injected crypt/dispatch error fails
     /// the batch cleanly before any DRAM mutates, so the whole gather is
-    /// simply re-attempted, up to `integrity.max_crypt_retries` total
+    /// simply re-attempted, up to [`MAX_CRYPT_RETRIES`] total
     /// attempts. Exceeding the cap reports a typed
     /// [`SentryError::RetriesExhausted`] — the fault is persistent and
     /// retrying forever would spin. Non-transient errors (power loss,
@@ -953,13 +958,12 @@ impl Sentry {
         op: &'static str,
         pages: &[ClusterPage],
     ) -> Result<usize, SentryError> {
-        let cap = self.integrity.config().max_crypt_retries.max(1);
         let mut attempts = 0u32;
         loop {
             attempts += 1;
             match self.decrypt_gathered(pages) {
                 Err(e) if e.is_injected_crypt_fault() => {
-                    if attempts < cap {
+                    if attempts < MAX_CRYPT_RETRIES {
                         self.stats.crypt.attempts += 1;
                     } else {
                         self.stats.crypt.exhausted += 1;

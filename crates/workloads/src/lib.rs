@@ -41,7 +41,7 @@ pub use apps::{app_catalog, run_app_cycle, AppCycleResult, AppSpec};
 pub use background::{background_catalog, run_background, BackgroundResult, BackgroundSpec};
 pub use filebench::{run_filebench, CryptoSetup, FilebenchResult, FilebenchSpec, Workload};
 pub use fleet::{
-    run_device, run_fleet, DeviceOutcome, EventMix, FleetConfig, FleetEvent, FleetReport,
-    LatencyHistogram,
+    nearest_rank, run_device, run_fleet, DeviceOutcome, EventMix, FleetConfig, FleetEvent,
+    FleetReport,
 };
 pub use kernelbuild::compile_minutes;

@@ -1,11 +1,11 @@
 //! Fleet-harness correctness: the N=1 fleet is byte- and
 //! stats-identical to driving the same device directly with the same
 //! event sequence, the merged report is shard-count invariant, and the
-//! streaming histogram's percentile math is exact at bucket edges.
+//! unlock percentiles are exact nearest-rank order statistics.
 
 use proptest::prelude::*;
 use sentry_workloads::fleet::{
-    event_stream, run_device, run_fleet, Device, FleetConfig, LatencyHistogram, HISTOGRAM_BUCKETS,
+    event_stream, nearest_rank, run_device, run_fleet, Device, FleetConfig, FleetReport,
 };
 
 fn config(master_seed: u64, events: usize) -> FleetConfig {
@@ -48,7 +48,9 @@ proptest! {
         prop_assert_eq!(fleet.events, direct.events);
         prop_assert_eq!(fleet.locks, direct.locks);
         prop_assert_eq!(fleet.unlocks, direct.unlocks);
-        prop_assert_eq!(&fleet.unlock_hist, &direct.unlock_hist);
+        let mut direct_samples = direct.unlock_ns.clone();
+        direct_samples.sort_unstable();
+        prop_assert_eq!(&fleet.unlock_ns, &direct_samples);
         prop_assert_eq!(fleet.power_cuts_fired, direct.power_cuts_fired);
         prop_assert_eq!(fleet.recoveries, direct.recoveries);
         prop_assert_eq!(fleet.tampers_planted, direct.tampers_planted);
@@ -83,7 +85,7 @@ proptest! {
         let one = run_fleet(&base);
         let many = run_fleet(&base.clone().with_shards(shards));
         prop_assert_eq!(&one.digests, &many.digests);
-        prop_assert_eq!(&one.unlock_hist, &many.unlock_hist);
+        prop_assert_eq!(&one.unlock_ns, &many.unlock_ns);
         prop_assert_eq!(one.events, many.events);
         prop_assert_eq!(one.sim_busy_ns, many.sim_busy_ns);
         prop_assert_eq!(one.recoveries, many.recoveries);
@@ -94,107 +96,40 @@ proptest! {
         prop_assert_eq!(&one.degradation, &many.degradation);
         prop_assert_eq!(one.accel_storms, many.accel_storms);
         prop_assert_eq!(one.flaky_disk_intervals, many.flaky_disk_intervals);
-    }
-
-    /// Bucket round trip: every value maps to a bucket whose bounds
-    /// contain it, and bucket bounds tile the axis without gaps.
-    #[test]
-    fn histogram_buckets_contain_their_values(ns in any::<u64>()) {
-        let i = LatencyHistogram::bucket_index(ns);
-        prop_assert!(i < HISTOGRAM_BUCKETS);
-        prop_assert!(LatencyHistogram::bucket_lower(i) <= ns);
-        prop_assert!(ns <= LatencyHistogram::bucket_upper(i));
+        // So is pressure accounting (the `exp_fleet --enforce` gate
+        // checks the same columns).
+        prop_assert_eq!(&one.pressure, &many.pressure);
+        prop_assert_eq!(&one.pressure_columns, &many.pressure_columns);
     }
 }
 
 #[test]
-fn bucket_edges_are_exact() {
-    // Values below 16 get exact single-value buckets.
-    for ns in 0u64..16 {
-        let i = LatencyHistogram::bucket_index(ns);
-        assert_eq!(LatencyHistogram::bucket_lower(i), ns);
-        assert_eq!(LatencyHistogram::bucket_upper(i), ns);
-    }
-    // The first ranged bucket starts exactly at 16 with width 4.
-    let i16 = LatencyHistogram::bucket_index(16);
-    assert_eq!(LatencyHistogram::bucket_lower(i16), 16);
-    assert_eq!(LatencyHistogram::bucket_upper(i16), 19);
-    assert_eq!(LatencyHistogram::bucket_index(19), i16);
-    assert_ne!(LatencyHistogram::bucket_index(20), i16);
-    // Power-of-two edges open a fresh octave; the value just below
-    // belongs to the previous one.
-    for o in 5..63u32 {
-        let edge = 1u64 << o;
-        let below = LatencyHistogram::bucket_index(edge - 1);
-        let at = LatencyHistogram::bucket_index(edge);
-        assert_eq!(at, below + 1, "octave edge 2^{o}");
-        assert_eq!(LatencyHistogram::bucket_lower(at), edge);
-        assert_eq!(LatencyHistogram::bucket_upper(below), edge - 1);
-    }
-    // Buckets tile: each upper bound is the next lower bound minus 1.
-    for i in 0..HISTOGRAM_BUCKETS - 1 {
-        assert_eq!(
-            LatencyHistogram::bucket_upper(i) + 1,
-            LatencyHistogram::bucket_lower(i + 1),
-            "gap after bucket {i}"
-        );
-    }
-    assert_eq!(
-        LatencyHistogram::bucket_upper(HISTOGRAM_BUCKETS - 1),
-        u64::MAX
-    );
+fn nearest_rank_is_exact() {
+    let samples: Vec<u64> = (1..=10).collect();
+    assert_eq!(nearest_rank(&samples, 0.0), 1); // rank clamps to 1
+    assert_eq!(nearest_rank(&samples, 0.10), 1);
+    assert_eq!(nearest_rank(&samples, 0.50), 5);
+    assert_eq!(nearest_rank(&samples, 0.90), 9);
+    assert_eq!(nearest_rank(&samples, 1.0), 10);
 }
 
 #[test]
-fn percentiles_at_bucket_edges() {
-    // Ten exact-bucket samples: percentiles are exact order statistics.
-    let mut h = LatencyHistogram::new();
-    for ns in 1..=10u64 {
-        h.record(ns);
-    }
-    assert_eq!(h.count(), 10);
-    assert_eq!(h.percentile(0.0), 1); // rank clamps to the minimum
-    assert_eq!(h.percentile(0.10), 1);
-    assert_eq!(h.percentile(0.50), 5);
-    assert_eq!(h.percentile(0.90), 9);
-    assert_eq!(h.percentile(1.0), 10);
-
-    // A sample on a ranged-bucket edge reports within its bucket and
-    // never past the observed max.
-    let mut h = LatencyHistogram::new();
-    h.record(16);
-    assert_eq!(h.percentile(0.5), 16);
-    h.record(19);
-    // Both land in [16, 19]; the upper bound is the observed max.
-    assert_eq!(h.percentile(1.0), 19);
-    assert_eq!(h.percentile(0.25), 19); // same bucket, clamped to bounds
-
-    // An empty histogram reports zeros.
-    let h = LatencyHistogram::new();
-    assert_eq!(h.percentile(0.99), 0);
-    assert_eq!(h.count(), 0);
-    assert_eq!(h.max(), 0);
+fn empty_samples_report_zero() {
+    assert_eq!(nearest_rank(&[], 0.5), 0);
+    let report = FleetReport::default();
+    assert_eq!(report.unlock_percentile(0.99), 0);
+    assert_eq!(report.unlock_mean_ns(), 0.0);
+    assert_eq!(report.unlock_max_ns(), 0);
 }
 
 #[test]
-fn merge_equals_recording_into_one() {
-    let mut a = LatencyHistogram::new();
-    let mut b = LatencyHistogram::new();
-    let mut whole = LatencyHistogram::new();
-    for (i, ns) in [3u64, 17, 900, 44_000, 1 << 21, u64::MAX]
-        .iter()
-        .enumerate()
-    {
-        if i % 2 == 0 {
-            a.record(*ns)
-        } else {
-            b.record(*ns)
-        }
-        whole.record(*ns);
-    }
-    a.merge(&b);
-    assert_eq!(a, whole);
-    for q in [0.01, 0.25, 0.5, 0.75, 0.99] {
-        assert_eq!(a.percentile(q), whole.percentile(q));
-    }
+fn report_latency_is_computed_from_the_samples() {
+    let report = FleetReport {
+        unlock_ns: (1..=10).collect(),
+        ..FleetReport::default()
+    };
+    assert_eq!(report.unlock_percentile(0.50), 5);
+    assert_eq!(report.unlock_percentile(0.99), 10);
+    assert_eq!(report.unlock_mean_ns(), 5.5);
+    assert_eq!(report.unlock_max_ns(), 10);
 }

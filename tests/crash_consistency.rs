@@ -17,6 +17,7 @@ use sentry::attacks::faultmatrix::{
     record, run_cell, run_decay_cell, run_matrix, EndState, Scenario, SECRET,
 };
 use sentry::attacks::tamper::flip_bit;
+use sentry::core::lifecycle::MAX_CRYPT_RETRIES;
 use sentry::core::{RecoveryReport, SentryError};
 use sentry::kernel::pagetable::Backing;
 use sentry::soc::dram::PowerEvent;
@@ -272,7 +273,6 @@ fn persistent_crypt_fault_on_readahead_exhausts_retries_cleanly() {
 
     // A *persistent* fault — the plan re-fires on every dispatch — must
     // not spin: the typed RetriesExhausted surfaces after the cap.
-    let cap = s.config.integrity.max_crypt_retries;
     s.kernel
         .soc
         .failpoints
@@ -284,12 +284,12 @@ fn persistent_crypt_fault_on_readahead_exhausts_retries_cleanly() {
             SentryError::RetriesExhausted {
                 op: "handle_fault",
                 attempts
-            } if attempts == cap
+            } if attempts == MAX_CRYPT_RETRIES
         ),
         "got {err:?}"
     );
     assert!(!s.txn_in_flight());
-    assert_eq!(s.stats.crypt.attempts, u64::from(cap) - 1);
+    assert_eq!(s.stats.crypt.attempts, u64::from(MAX_CRYPT_RETRIES) - 1);
     assert_eq!(s.stats.crypt.exhausted, 1);
     let pte = *s.kernel.procs[&actors.vault].page_table.get(0).unwrap();
     assert!(pte.encrypted, "PTE must be untouched after exhaustion");
